@@ -13,6 +13,7 @@ aggregate per-member outcomes into a pass/fail table.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import hashlib
 import json
@@ -20,6 +21,7 @@ import math
 import os
 import shutil
 import sys
+import traceback
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace as dc_replace
 from datetime import datetime, timezone
@@ -48,6 +50,7 @@ from .lattice import build_volume
 from .measures import CouplingMeasure
 from .model import AlloyModel, constants_report
 from .moments import inverse_moment_check, reverse_holder_ratio
+from .potential import build_single_site
 from .regularity import (
     BandEvent,
     PinEvent,
@@ -146,15 +149,18 @@ def load_config(
 ) -> ExperimentConfig:
     """Parse and validate a config file; unknown keys are rejected.
 
-    The hash covers the semantic content (kind, seed, model, params) with
-    keys sorted, so it is stable under reordering and independent of where
-    the artifacts land.
+    Params are type- and range-checked against the kind's spec and returned
+    typed, with defaults filled in.  The hash covers the semantic content as
+    given (kind, seed, model, params) with keys sorted, so it is stable under
+    reordering and independent of where the artifacts land.
     """
-    with open(path) as fh:
-        try:
+    try:
+        with open(path) as fh:
             data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"config is not valid JSON: {exc}") from exc
+    except OSError as exc:
+        raise ValidationError(f"cannot read config: {exc}") from exc
+    except ValueError as exc:
+        raise ValidationError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ValidationError("config must be a JSON object")
     unknown = set(data) - _TOP_KEYS
@@ -169,32 +175,28 @@ def load_config(
     seed = data.get("seed", 0)
     if seed_override is not None:
         seed = seed_override
-    if not isinstance(seed, int) or seed < 0:
+    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
         raise ValidationError("seed must be a non-negative integer")
-    params = data.get("params", {})
-    if not isinstance(params, dict):
-        raise ValidationError("params must be an object")
-    missing = entry.required - set(params)
-    if missing:
-        raise ValidationError(f"missing params for {kind}: {sorted(missing)}")
-    extra = set(params) - entry.required - entry.optional
-    if extra:
-        raise ValidationError(f"unknown params for {kind}: {sorted(extra)}")
     model = None
     if entry.needs_model:
         if "model" not in data:
             raise ValidationError(f"experiment kind {kind} needs a model block")
-        model = AlloyModel.from_dict(data["model"])
+        model = _read_model(data["model"])
     elif "model" in data:
         raise ValidationError(f"experiment kind {kind} does not take a model block")
+    raw_params = data.get("params", {})
+    dim = model.dimension if model is not None else None
+    params = _read_params(entry.params, raw_params, "params", dim)
     semantic = {
         "schema_version": 1,
         "kind": kind,
         "seed": seed,
         "model": data.get("model"),
-        "params": params,
+        "params": raw_params,
     }
     out = out_override if out_override is not None else data.get("out")
+    if out is not None and not isinstance(out, str):
+        raise ValidationError("out must be a string")
     return ExperimentConfig(
         kind=kind,
         seed=seed,
@@ -206,42 +208,176 @@ def load_config(
 
 
 # ---------------------------------------------------------------------------
+# Parameter specs
+# ---------------------------------------------------------------------------
+
+_REQUIRED = object()  # no default: the config must give the param
+_OPTIONAL = object()  # no default: a param left out stays out of ``cfg.params``
+
+
+@dataclass(frozen=True)
+class _Param:
+    """How to read one param: ``check(value, path, dim)`` returns the typed
+    value or raises :class:`ValidationError`; ``dim`` is the model's lattice
+    dimension (``None`` for measure-only kinds)."""
+
+    check: Callable
+    default: object = _REQUIRED
+
+
+def _bad(path: str, want: str, value) -> ValidationError:
+    return ValidationError(f"{path} must be {want}, got {value!r}")
+
+
+def _int(lo=None, default=_REQUIRED) -> _Param:
+    """An integer ``>= lo``; an integral float is taken as its integer, a bool is not."""
+
+    def check(v, path, dim):
+        if isinstance(v, float) and v.is_integer():
+            v = int(v)
+        if isinstance(v, bool) or not isinstance(v, int) or (lo is not None and v < lo):
+            raise _bad(path, "an integer" + ("" if lo is None else f" >= {lo}"), v)
+        return v
+
+    return _Param(check, default)
+
+
+def _num(lo=None, strict=False, default=_REQUIRED) -> _Param:
+    """A finite number ``>= lo`` (``> lo`` when strict), returned as a float."""
+
+    def check(v, path, dim):
+        # the size test also rejects NaN, infinities and ints beyond float range
+        ok = isinstance(v, (int, float)) and not isinstance(v, bool)
+        if not (ok and abs(v) <= sys.float_info.max) or (
+            lo is not None and (v <= lo if strict else v < lo)
+        ):
+            bound = "" if lo is None else f" {'>' if strict else '>='} {lo}"
+            raise _bad(path, "a number" + bound, v)
+        return float(v)
+
+    return _Param(check, default)
+
+
+def _enum(*choices, default=_REQUIRED) -> _Param:
+    def check(v, path, dim):
+        if v not in choices:
+            raise _bad(path, f"one of {list(choices)}", v)
+        return v
+
+    return _Param(check, default)
+
+
+def _list(item: _Param, min_len=1, length=None, default=_REQUIRED) -> _Param:
+    """A list of ``item``s: ``length(dim)`` of them if given, else ``min_len`` or more."""
+
+    def check(v, path, dim):
+        n = length(dim) if length else None
+        if not isinstance(v, list) or len(v) < min_len or n not in (None, len(v)):
+            raise _bad(path, f"a list of {n or f'{min_len} or more'} items", v)
+        return [item.check(x, f"{path}[{i}]", dim) for i, x in enumerate(v)]
+
+    return _Param(check, default)
+
+
+def _object(spec: dict) -> _Param:
+    return _Param(lambda v, path, dim: _read_params(spec, v, path, dim), _OPTIONAL)
+
+
+def _read_params(spec: dict, data, path: str, dim: Optional[int]) -> dict:
+    """Check ``data`` against ``spec``; return the typed values plus defaults."""
+    if not isinstance(data, dict):
+        raise _bad(path, "an object", data)
+    missing = [k for k, param in spec.items() if param.default is _REQUIRED and k not in data]
+    if missing:
+        raise ValidationError(f"missing {path} keys: {sorted(missing)}")
+    extra = set(data) - set(spec)
+    if extra:
+        raise ValidationError(f"unknown {path} keys: {sorted(extra)}")
+    out = {}
+    for name, param in spec.items():
+        if name in data:
+            out[name] = param.check(data[name], f"{path}.{name}", dim)
+        elif param.default is not _OPTIONAL:
+            out[name] = param.default
+    return out
+
+
+_NUMBER = _num()
+_POSITIVE = _num(0, strict=True)
+_COUNT = _int(1)
+_RADIUS = _int(0)
+_PAIR = _list(_NUMBER, length=lambda dim: 2)
+_POINT = _list(_int(), length=lambda dim: dim)  # a lattice point of the model's dimension
+
+
+def _measure(v, path, dim):
+    try:
+        return CouplingMeasure.from_dict(v)
+    except (TypeError, ValueError) as exc:  # wrongly typed values inside the block
+        raise ValidationError(f"malformed {path}: {exc}") from exc
+
+
+def _site_entry(v, path, dim):
+    """A ``[point, value]`` entry of a single-site profile."""
+    if not isinstance(v, list) or len(v) != 2:
+        raise _bad(path, "a [point, value] pair", v)
+    return tuple(_POINT.check(v[0], f"{path}[0]", dim)), _NUMBER.check(v[1], f"{path}[1]", dim)
+
+
+_MEASURE = _Param(_measure)
+# "dimension" comes first, so it is checked before the points that use it
+_MODEL = {
+    "dimension": _int(1),
+    "lambda": _num(0),
+    "single_site": _list(_Param(_site_entry)),
+    "measure": _MEASURE,
+    "decay_cutoff": _num(0, default=0.0),
+}
+
+
+def _read_model(data) -> AlloyModel:
+    dim = data.get("dimension") if isinstance(data, dict) else None
+    m = _read_params(_MODEL, data, "model", dim)
+    u = build_single_site(m["dimension"], m["single_site"], decay_cutoff=m["decay_cutoff"])
+    return AlloyModel(u, m["measure"], m["lambda"])
+
+
+# ---------------------------------------------------------------------------
 # Experiment kinds
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class _Kind:
-    needs_model: bool
-    required: frozenset
-    optional: frozenset
     runner: Callable
+    needs_model: bool
+    params: dict
 
 
-def _volume(cfg: ExperimentConfig, key: str = "radius"):
-    return build_volume(cfg.model.dimension, int(cfg.params[key]))
+def _volume(cfg: ExperimentConfig):
+    return build_volume(cfg.model.dimension, cfg.params["radius"])
 
 
 def _run_concentration(cfg: ExperimentConfig, outdir: Path):
     p = cfg.params
     curve = concentration_curve(
-        cfg.model, p["site"], p["eps_values"], int(p["n_samples"]), cfg.seed,
-        a_step=p.get("a_step"),
+        cfg.model, p["site"], p["eps_values"], p["n_samples"], cfg.seed,
+        a_step=p["a_step"],
     )
     rows = []
     max_err = None
     for eps, val, err in zip(curve.eps, curve.values, curve.stderr):
         row = {"eps": eps, "value": val, "stderr": err}
-        if p.get("exact") == "uniform-pair":
+        if p["exact"] == "uniform-pair":
             row["exact"] = float(uniform_pair_concentration(eps))
             gap = abs(val - row["exact"])
             max_err = gap if max_err is None else max(max_err, gap)
         rows.append(row)
     curve.to_csv(outdir / "concentration.csv")
-    results = {"rows": rows, "n_samples": int(p["n_samples"])}
+    results = {"rows": rows, "n_samples": p["n_samples"]}
     if max_err is not None:
         results["max_abs_error"] = max_err
-        results["passed"] = bool(max_err <= p.get("tolerance", 0.01))
+        results["passed"] = bool(max_err <= p["tolerance"])
     return results, ["concentration.csv"]
 
 
@@ -252,8 +388,8 @@ def _run_certificate(cfg: ExperimentConfig, outdir: Path):
     c = u.certificate_slope
     if m is None or c is None:
         raise ValidationError("the profile does not admit the pinning certificate")
-    delta = float(p["delta"])
-    delta_prime = float(p["delta_prime"])
+    delta = p["delta"]
+    delta_prime = p["delta_prime"]
     s_plus = u.positive_sum
     event = BandEvent(
         sites=[-1, u.n_points - 1], lo=s_plus - delta_prime, hi=s_plus
@@ -263,9 +399,9 @@ def _run_certificate(cfg: ExperimentConfig, outdir: Path):
         0,
         (m - c * delta, m + c * delta),
         event,
-        int(p["n_target"]),
+        p["n_target"],
         cfg.seed,
-        sampler=p.get("sampler", "auto"),
+        sampler=p["sampler"],
         keep_couplings=True,
     )
     keys = [int(pt[0]) for pt in res.coupling_points]
@@ -295,14 +431,14 @@ def _run_certificate(cfg: ExperimentConfig, outdir: Path):
 
 def _run_gaussian_conditioning(cfg: ExperimentConfig, outdir: Path):
     p = cfg.params
-    sigma = float(p.get("sigma", 1.0))
-    tol = float(p.get("tolerance", 1e-10))
+    sigma = p["sigma"]
+    tol = p["tolerance"]
     rng = stream_rng(cfg.seed, 0)
     max_diff = 0.0
     cases = 0
     for coeff in p["coeffs"]:
-        for l in range(int(p["l_max"]) + 1):
-            for m in range(int(p["m_max"]) + 1):
+        for l in range(p["l_max"] + 1):
+            for m in range(p["m_max"] + 1):
                 v_right = rng.normal(size=l)
                 v_left = rng.normal(size=m)
                 closed = condition_ma1_center(coeff, sigma, v_right, v_left)
@@ -321,38 +457,33 @@ def _run_gaussian_conditioning(cfg: ExperimentConfig, outdir: Path):
     }
     if "tau_mc" in p:
         tp = p["tau_mc"]
-        coeff = float(tp.get("coeff", 1.0))
-        l, m = int(tp.get("l", 5)), int(tp.get("m", 5))
+        coeff, l, m = tp["coeff"], tp["l"], tp["m"]
         closed = condition_ma1_center(coeff, sigma, np.zeros(l), np.zeros(m))
-        entries = [[[0], 1.0], [[-1], coeff]]
-        model = AlloyModel.from_dict(
-            {
-                "dimension": 1,
-                "lambda": 1.0,
-                "single_site": entries,
-                "measure": {"kind": "gaussian", "mean": 0.0, "variance": sigma * sigma},
-            }
+        model = AlloyModel(
+            build_single_site(1, [((0,), 1.0), ((-1,), coeff)]),
+            CouplingMeasure.gaussian(0.0, sigma * sigma),
+            1.0,
         )
         sites = [[k] for k in range(-m, l + 1) if k != 0]
         tau_rows = []
         for j, tau in enumerate(tp["tau_values"]):
-            event = PinEvent(sites=sites, values=[0.0] * len(sites), tolerance=float(tau))
+            event = PinEvent(sites=sites, values=[0.0] * len(sites), tolerance=tau)
             mc = conditional_concentration_mc(
                 model,
                 [0],
                 (-1.0, 1.0),
                 event,
-                int(tp.get("n_target", 20000)),
+                tp["n_target"],
                 cfg.seed + 1 + j,
                 sampler="gibbs",
-                chains=int(tp.get("chains", 256)),
-                burn_in=int(tp.get("burn_in", 300)),
-                thin=int(tp.get("thin", 3)),
+                chains=tp["chains"],
+                burn_in=tp["burn_in"],
+                thin=tp["thin"],
             )
             rel = abs(mc.eta_var - closed.variance) / closed.variance
             tau_rows.append(
                 {
-                    "tau": float(tau),
+                    "tau": tau,
                     "mc_variance": mc.eta_var,
                     "closed_variance": closed.variance,
                     "relative_error": rel,
@@ -368,8 +499,8 @@ def _run_fractional_moment(cfg: ExperimentConfig, outdir: Path):
     p = cfg.params
     vol = _volume(cfg)
     est = fractional_moment(
-        cfg.model, vol, complex(p["z"][0], p["z"][1]), p["x"], p["y"],
-        float(p["s"]), int(p["n_samples"]), cfg.seed,
+        cfg.model, vol, complex(*p["z"]), p["x"], p["y"],
+        p["s"], p["n_samples"], cfg.seed,
     )
     rec = est.to_record("fractional_moment", cfg.config_hash)
     bound = est.metadata.get("bound")
@@ -383,14 +514,14 @@ def _run_decay_profile(cfg: ExperimentConfig, outdir: Path):
     vol = _volume(cfg)
     d = cfg.model.dimension
     x = p.get("x", [0] * d)
-    offsets = p.get("offsets")
+    offsets = p["offsets"]
     if offsets is None:
         if d != 1:
             raise ValidationError("explicit offsets are required above one dimension")
-        offsets = [[k] for k in range(1, int(p.get("max_distance", p["radius"])) + 1)]
+        offsets = [[k] for k in range(1, p.get("max_distance", p["radius"]) + 1)]
     prof = green_decay_profile(
-        cfg.model, vol, complex(p["z"][0], p["z"][1]), x, offsets,
-        float(p["s"]), int(p["n_samples"]), cfg.seed,
+        cfg.model, vol, complex(*p["z"]), x, offsets,
+        p["s"], p["n_samples"], cfg.seed,
     )
     prof.to_csv(outdir / "profile.csv")
     results = {
@@ -398,7 +529,7 @@ def _run_decay_profile(cfg: ExperimentConfig, outdir: Path):
         "amplitude": prof.amplitude,
         "r_squared": prof.r_squared,
         "dropped_distances": prof.dropped,
-        "n_samples": int(p["n_samples"]),
+        "n_samples": p["n_samples"],
         "s": prof.s,
     }
     if "r2_min" in p:
@@ -409,16 +540,16 @@ def _run_decay_profile(cfg: ExperimentConfig, outdir: Path):
 def _run_wegner(cfg: ExperimentConfig, outdir: Path):
     p = cfg.params
     vol = _volume(cfg)
-    center = float(p["center"])
+    center = p["center"]
     rows = []
     for width in p["widths"]:
         est = wegner_count(
             cfg.model, vol, (center - width / 2, center + width / 2),
-            int(p["n_samples"]), cfg.seed,
+            p["n_samples"], cfg.seed,
         )
         rows.append(
             {
-                "width": float(width),
+                "width": width,
                 "value": est.value,
                 "stderr": est.stderr,
                 "per_unit_width": est.value / width,
@@ -447,9 +578,9 @@ def _run_wegner(cfg: ExperimentConfig, outdir: Path):
 def _run_minami(cfg: ExperimentConfig, outdir: Path):
     p = cfg.params
     vol = _volume(cfg)
-    z = complex(p["z"][0], p["z"][1])
+    z = complex(*p["z"])
     est = minami_determinant(
-        cfg.model, vol, z, p["x"], p["y"], int(p["n_samples"]), cfg.seed
+        cfg.model, vol, z, p["x"], p["y"], p["n_samples"], cfg.seed
     )
     rec = est.to_record("minami_determinant", cfg.config_hash)
     bound = est.metadata.get("bound")
@@ -458,10 +589,10 @@ def _run_minami(cfg: ExperimentConfig, outdir: Path):
         lam_rows = []
         for lam in p["lams"]:
             scaled = minami_determinant(
-                dc_replace(cfg.model, lam=float(lam)), vol, z, p["x"], p["y"],
-                int(p.get("scaling_samples", p["n_samples"])), cfg.seed,
+                dc_replace(cfg.model, lam=lam), vol, z, p["x"], p["y"],
+                p.get("scaling_samples", p["n_samples"]), cfg.seed,
             )
-            lam_rows.append({"lam": float(lam), "value": scaled.value, "stderr": scaled.stderr})
+            lam_rows.append({"lam": lam, "value": scaled.value, "stderr": scaled.stderr})
         slope = float(
             np.polyfit(
                 np.log([r["lam"] for r in lam_rows]),
@@ -481,7 +612,7 @@ def _run_two_level(cfg: ExperimentConfig, outdir: Path):
     p = cfg.params
     vol = _volume(cfg)
     res = two_level_probability(
-        cfg.model, vol, tuple(p["interval"]), int(p["n_samples"]), cfg.seed
+        cfg.model, vol, p["interval"], p["n_samples"], cfg.seed
     )
     pointwise = res.p_two.value <= res.half_moment.value + 1e-15
     results = {
@@ -506,9 +637,9 @@ def _run_recursion(cfg: ExperimentConfig, outdir: Path):
     p = cfg.params
     vol = _volume(cfg)
     probe = recursion_probe(
-        cfg.model, vol, float(p["energy"]), p["x"], p["y"], float(p["s"]),
-        [float(v) for v in p["lams"]], int(p["n_samples"]), cfg.seed,
-        residual_tol=p.get("residual_tol", 1e-8),
+        cfg.model, vol, p["energy"], p["x"], p["y"], p["s"],
+        p["lams"], p["n_samples"], cfg.seed,
+        residual_tol=p["residual_tol"],
     )
     rows = [
         {
@@ -529,7 +660,7 @@ def _run_recursion(cfg: ExperimentConfig, outdir: Path):
         "implied_constant_range": [lo, hi],
         "implied_constant_spread": hi / lo if lo > 0 else None,
     }
-    ok = probe.max_residual <= p.get("residual_tol", 1e-8)
+    ok = probe.max_residual <= p["residual_tol"]
     if "spread_max" in p:
         ok = ok and results["implied_constant_spread"] is not None
         ok = ok and results["implied_constant_spread"] <= p["spread_max"]
@@ -541,8 +672,7 @@ def _run_fvc(cfg: ExperimentConfig, outdir: Path):
     p = cfg.params
     vol = _volume(cfg)
     est = fvc_probability(
-        cfg.model, vol, float(p["energy"]), float(p["exponent"]),
-        int(p["n_samples"]), cfg.seed,
+        cfg.model, vol, p["energy"], p["exponent"], p["n_samples"], cfg.seed,
     )
     rec = est.to_record("fvc_probability", cfg.config_hash)
     if "min_probability" in p:
@@ -554,8 +684,7 @@ def _run_ids(cfg: ExperimentConfig, outdir: Path):
     p = cfg.params
     vol = _volume(cfg)
     table = ids_estimate(
-        cfg.model, vol, int(p["n_realizations"]), cfg.seed,
-        n_grid=int(p.get("n_grid", 20001)),
+        cfg.model, vol, p["n_realizations"], cfg.seed, n_grid=p["n_grid"],
     )
     table.to_csv(outdir / "ids.csv")
     results = {
@@ -570,22 +699,18 @@ def _run_ids(cfg: ExperimentConfig, outdir: Path):
 def _run_poisson(cfg: ExperimentConfig, outdir: Path):
     p = cfg.params
     d = cfg.model.dimension
-    ids_vol = build_volume(d, int(p["ids_radius"]))
-    stats_vol = build_volume(d, int(p["stats_radius"]))
+    ids_vol = build_volume(d, p["ids_radius"])
+    stats_vol = build_volume(d, p["stats_radius"])
     table = ids_estimate(
-        cfg.model, ids_vol, int(p["ids_realizations"]),
-        int(p.get("ids_seed", cfg.seed + 1)),
-        n_grid=int(p.get("n_grid", 20001)),
+        cfg.model, ids_vol, p["ids_realizations"], p.get("ids_seed", cfg.seed + 1),
+        n_grid=p["n_grid"],
     )
-    e0 = p.get("e0", "median")
-    e0 = table.median_energy() if e0 == "median" else float(e0)
+    e0 = table.median_energy() if p["e0"] == "median" else p["e0"]
     spectra = sample_rescaled_spectra(
-        cfg.model, stats_vol, table, e0, int(p["n_realizations"]), cfg.seed
+        cfg.model, stats_vol, table, e0, p["n_realizations"], cfg.seed
     )
-    window = tuple(p.get("window", (-5.0, 5.0)))
-    report = poisson_statistics(
-        spectra, window=window, bin_width=float(p.get("bin_width", 0.25))
-    )
+    window = p["window"]
+    report = poisson_statistics(spectra, window=window, bin_width=p["bin_width"])
     table.to_csv(outdir / "ids.csv")
     report.gap_histogram_to_csv(outdir / "gaps.csv")
 
@@ -617,11 +742,7 @@ def _run_poisson(cfg: ExperimentConfig, outdir: Path):
 
 def _run_inverse_moment(cfg: ExperimentConfig, outdir: Path):
     p = cfg.params
-    measure = CouplingMeasure.from_dict(p["measure"])
-    chk = inverse_moment_check(
-        measure, float(p["s"]), float(p["b"]),
-        alpha=p.get("alpha"), c1=p.get("c1"),
-    )
+    chk = inverse_moment_check(p["measure"], p["s"], p["b"], alpha=p["alpha"], c1=p["c1"])
     results = {
         "integral": chk.integral,
         "bound": chk.bound,
@@ -629,23 +750,21 @@ def _run_inverse_moment(cfg: ExperimentConfig, outdir: Path):
         "holds": bool(chk.holds),
         "abs_error": chk.abs_error,
     }
-    expect = p.get("expect")
-    tol = p.get("tolerance", 1e-6)
-    if expect == "equality":
-        results["passed"] = bool(abs(chk.margin) <= tol)
-    elif expect == "strict":
-        results["passed"] = bool(chk.margin > tol)
-    elif expect is not None:
-        raise ValidationError("expect must be 'equality' or 'strict'")
+    if p["expect"] == "equality":
+        results["passed"] = bool(abs(chk.margin) <= p["tolerance"])
+    elif p["expect"] == "strict":
+        results["passed"] = bool(chk.margin > p["tolerance"])
     return results, []
 
 
 def _run_reverse_holder(cfg: ExperimentConfig, outdir: Path):
     p = cfg.params
-    measure = CouplingMeasure.from_dict(p["measure"])
-    s = float(p["s"])
+    measure = p["measure"]
+    s = p["s"]
     results: dict = {"s": s}
     if "q1" in p or "q2" in p:
+        if not ("q1" in p and "q2" in p):
+            raise ValidationError("q1 and q2 must be given together")
         out = reverse_holder_ratio(p["q1"], p["q2"], measure, s)
         results.update(
             ratio=out.ratio,
@@ -656,112 +775,84 @@ def _run_reverse_holder(cfg: ExperimentConfig, outdir: Path):
     if "batch" in p:
         b = p["batch"]
         rng = stream_rng(cfg.seed, 0)
-        deg = int(b.get("max_degree", 2))
         worst = 0.0
         worst_pair = None
-        for _ in range(int(b["n"])):
-            q1 = rng.standard_normal(deg + 1)
-            q2 = rng.standard_normal(deg + 1)
+        for _ in range(b["n"]):
+            q1 = rng.standard_normal(b["max_degree"] + 1)
+            q2 = rng.standard_normal(b["max_degree"] + 1)
             out = reverse_holder_ratio(q1, q2, measure, s)
             if out.ratio > worst:
                 worst = out.ratio
                 worst_pair = [q1.tolist(), q2.tolist()]
         results["batch_max_ratio"] = worst
-        results["batch_n"] = int(b["n"])
+        results["batch_n"] = b["n"]
         results["batch_worst_pair"] = worst_pair
     return results, []
 
 
 def _run_constants(cfg: ExperimentConfig, outdir: Path):
-    return constants_report(cfg.model, s=float(cfg.params.get("s", 0.5))), []
+    return constants_report(cfg.model, s=cfg.params["s"]), []
 
 
+# kind -> runner, whether it takes a model block, and its param spec
 _KINDS = {
-    "concentration": _Kind(
-        True,
-        frozenset({"site", "eps_values", "n_samples"}),
-        frozenset({"a_step", "exact", "tolerance"}),
-        _run_concentration,
-    ),
-    "certificate": _Kind(
-        True,
-        frozenset({"delta", "delta_prime", "n_target"}),
-        frozenset({"sampler"}),
-        _run_certificate,
-    ),
-    "gaussian-conditioning": _Kind(
-        False,
-        frozenset({"coeffs", "l_max", "m_max"}),
-        frozenset({"sigma", "tolerance", "tau_mc"}),
-        _run_gaussian_conditioning,
-    ),
-    "fractional-moment": _Kind(
-        True,
-        frozenset({"radius", "z", "x", "y", "s", "n_samples"}),
-        frozenset(),
-        _run_fractional_moment,
-    ),
-    "decay-profile": _Kind(
-        True,
-        frozenset({"radius", "z", "s", "n_samples"}),
-        frozenset({"x", "offsets", "max_distance", "r2_min"}),
-        _run_decay_profile,
-    ),
-    "wegner": _Kind(
-        True,
-        frozenset({"radius", "center", "widths", "n_samples"}),
-        frozenset({"ratio_tolerance"}),
-        _run_wegner,
-    ),
-    "minami": _Kind(
-        True,
-        frozenset({"radius", "z", "x", "y", "n_samples"}),
-        frozenset({"lams", "scaling_samples"}),
-        _run_minami,
-    ),
-    "two-level": _Kind(
-        True,
-        frozenset({"radius", "interval", "n_samples"}),
-        frozenset(),
-        _run_two_level,
-    ),
-    "recursion": _Kind(
-        True,
-        frozenset({"radius", "energy", "x", "y", "s", "lams", "n_samples"}),
-        frozenset({"residual_tol", "spread_max"}),
-        _run_recursion,
-    ),
-    "fvc": _Kind(
-        True,
-        frozenset({"radius", "energy", "exponent", "n_samples"}),
-        frozenset({"min_probability"}),
-        _run_fvc,
-    ),
-    "ids": _Kind(
-        True,
-        frozenset({"radius", "n_realizations"}),
-        frozenset({"n_grid"}),
-        _run_ids,
-    ),
-    "poisson": _Kind(
-        True,
-        frozenset({"stats_radius", "ids_radius", "ids_realizations", "n_realizations"}),
-        frozenset({"window", "bin_width", "e0", "ids_seed", "n_grid"}),
-        _run_poisson,
-    ),
-    "inverse-moment": _Kind(
-        False,
-        frozenset({"measure", "s", "b"}),
-        frozenset({"alpha", "c1", "expect", "tolerance"}),
-        _run_inverse_moment,
-    ),
-    "reverse-holder": _Kind(
-        False,
-        frozenset({"measure", "s"}),
-        frozenset({"q1", "q2", "batch"}),
-        _run_reverse_holder,
-    ),
-    "constants": _Kind(True, frozenset(), frozenset({"s"}), _run_constants),
+    "concentration": _Kind(_run_concentration, True, dict(
+        site=_POINT, eps_values=_list(_POSITIVE), n_samples=_COUNT,
+        a_step=_num(0, strict=True, default=None),
+        exact=_enum("uniform-pair", default=None), tolerance=_num(0, default=0.01))),
+    "certificate": _Kind(_run_certificate, True, dict(
+        delta=_POSITIVE, delta_prime=_POSITIVE, n_target=_COUNT,
+        sampler=_enum("auto", "rejection", "stratified", "gibbs", default="auto"))),
+    "gaussian-conditioning": _Kind(_run_gaussian_conditioning, False, dict(
+        coeffs=_list(_NUMBER), l_max=_int(0), m_max=_int(0),
+        sigma=_num(0, strict=True, default=1.0), tolerance=_num(0, default=1e-10),
+        tau_mc=_object(dict(
+            coeff=_num(default=1.0), l=_int(0, default=5), m=_int(0, default=5),
+            tau_values=_list(_POSITIVE), n_target=_int(1, default=20000),
+            chains=_int(1, default=256), burn_in=_int(0, default=300),
+            thin=_int(1, default=3))))),
+    "fractional-moment": _Kind(_run_fractional_moment, True, dict(
+        radius=_RADIUS, z=_PAIR, x=_POINT, y=_POINT, s=_POSITIVE, n_samples=_COUNT)),
+    "decay-profile": _Kind(_run_decay_profile, True, dict(
+        radius=_RADIUS, z=_PAIR, s=_POSITIVE, n_samples=_COUNT,
+        x=dc_replace(_POINT, default=_OPTIONAL), offsets=_list(_POINT, default=None),
+        max_distance=_int(1, default=_OPTIONAL), r2_min=_num(default=_OPTIONAL))),
+    "wegner": _Kind(_run_wegner, True, dict(
+        radius=_RADIUS, center=_NUMBER, widths=_list(_POSITIVE), n_samples=_COUNT,
+        ratio_tolerance=_num(0, default=_OPTIONAL))),
+    "minami": _Kind(_run_minami, True, dict(
+        radius=_RADIUS, z=_PAIR, x=_POINT, y=_POINT, n_samples=_COUNT,
+        # the scaling slope is a straight-line fit through at least two points
+        lams=_list(_POSITIVE, 2, default=_OPTIONAL),
+        scaling_samples=_int(1, default=_OPTIONAL))),
+    "two-level": _Kind(_run_two_level, True, dict(
+        radius=_RADIUS, interval=_PAIR, n_samples=_COUNT)),
+    "recursion": _Kind(_run_recursion, True, dict(
+        radius=_RADIUS, energy=_NUMBER, x=_POINT, y=_POINT, s=_POSITIVE,
+        lams=_list(_POSITIVE), n_samples=_COUNT,
+        residual_tol=_num(0, strict=True, default=1e-8),
+        spread_max=_num(0, strict=True, default=_OPTIONAL))),
+    "fvc": _Kind(_run_fvc, True, dict(
+        radius=_RADIUS, energy=_NUMBER, exponent=_NUMBER, n_samples=_COUNT,
+        min_probability=_num(0, default=_OPTIONAL))),
+    "ids": _Kind(_run_ids, True, dict(
+        radius=_RADIUS, n_realizations=_COUNT, n_grid=_int(2, default=20001))),
+    "poisson": _Kind(_run_poisson, True, dict(
+        stats_radius=_RADIUS, ids_radius=_RADIUS, ids_realizations=_COUNT,
+        n_realizations=_COUNT, window=dc_replace(_PAIR, default=(-5.0, 5.0)),
+        bin_width=_num(0, strict=True, default=0.25),
+        e0=_Param(lambda v, path, dim: v if v == "median" else _NUMBER.check(v, path, dim),
+                  default="median"),
+        ids_seed=_int(0, default=_OPTIONAL), n_grid=_int(2, default=20001))),
+    "inverse-moment": _Kind(_run_inverse_moment, False, dict(
+        measure=_MEASURE, s=_POSITIVE, b=_NUMBER,
+        alpha=_num(0, strict=True, default=None), c1=_num(0, strict=True, default=None),
+        expect=_enum("equality", "strict", default=None), tolerance=_num(0, default=1e-6))),
+    "reverse-holder": _Kind(_run_reverse_holder, False, dict(
+        measure=_MEASURE, s=_POSITIVE, q1=_list(_NUMBER, default=_OPTIONAL),
+        q2=_list(_NUMBER, default=_OPTIONAL),
+        batch=_object(dict(n=_COUNT, max_degree=_int(0, default=2))))),
+    "constants": _Kind(_run_constants, True, dict(s=_num(0, strict=True, default=0.5))),
 }
 
 
@@ -786,9 +877,10 @@ def run(
 ) -> int:
     """Execute one experiment config.
 
-    Exit codes: 0 success, 2 validation error (no artifacts), 3 numerical
-    failure (the operation's error is printed verbatim; no manifest is
-    written, so the run reads as incomplete).
+    Exit codes: 0 success, 2 validation error (nothing is written: a
+    directory this call created is removed again), 3 numerical failure (the
+    operation's error is printed verbatim; no manifest is written, so the
+    run reads as incomplete).
     """
     try:
         cfg = load_config(config_path, seed_override=seed, out_override=out)
@@ -796,11 +888,19 @@ def run(
         print(f"validation error: {exc}", file=sys.stderr)
         return 2
     outdir = Path(cfg.out) if cfg.out else Path(f"runs/{cfg.kind}-{cfg.config_hash[:12]}")
+    # directories this run creates, innermost first; a validation error
+    # removes them again (a parent only while empty: another run may share it)
+    created = [d for d in [outdir, *outdir.parents] if not d.exists()]
     started = _utcnow()
     try:
         outdir.mkdir(parents=True, exist_ok=True)
         results, files = _KINDS[cfg.kind].runner(cfg, outdir)
     except ValidationError as exc:
+        if created:
+            shutil.rmtree(outdir, ignore_errors=True)
+        for parent in created[1:]:
+            with contextlib.suppress(OSError):
+                parent.rmdir()
         print(f"validation error: {exc}", file=sys.stderr)
         return 2
     except (NumericalError, NonintegrableError) as exc:
@@ -835,23 +935,28 @@ def run(
 
 def _suite_member(args) -> dict:
     config_path, out_dir = args
-    code = run(config_path, out=out_dir)
+    member = {
+        "name": Path(config_path).stem,
+        "config": str(config_path),
+        "out_dir": str(out_dir),
+    }
+    try:
+        code = run(config_path, out=out_dir)
+    except Exception as exc:  # one member's crash must not stop the suite
+        code = 4
+        member["error"] = f"{type(exc).__name__}: {exc}".splitlines()[0]
+        member["traceback"] = traceback.format_exc()
+        print(f"internal error: {member['error']}", file=sys.stderr)
     passed = None
     results_file = Path(out_dir) / "results.json"
-    if results_file.exists():
+    if code != 4 and results_file.exists():
         try:
             with open(results_file) as fh:
                 passed = json.load(fh).get("passed")
         except (OSError, json.JSONDecodeError):
             passed = None
-    return {
-        "name": Path(config_path).stem,
-        "config": str(config_path),
-        "out_dir": str(out_dir),
-        "exit_code": code,
-        "ok": code == 0,
-        "passed": passed,
-    }
+    member.update(exit_code=code, ok=code == 0, passed=passed)
+    return member
 
 
 def suite(manifest_path) -> int:
@@ -862,7 +967,8 @@ def suite(manifest_path) -> int:
     run concurrently up to ``ALLOYSIM_WORKERS`` (default 1), each owning its
     own output subdirectory.  Any member that fails to complete or reports
     ``passed: false`` makes the suite exit nonzero; the other members'
-    artifacts are still written.
+    artifacts are still written.  A member whose run raises an unexpected
+    exception gets exit code 4 and its traceback in the report.
     """
     manifest_path = Path(manifest_path)
     try:
@@ -904,6 +1010,8 @@ def suite(manifest_path) -> int:
     lines = [f"suite {report['name']}: {'PASS' if all_ok else 'FAIL'}"]
     for m in members:
         status = "ok" if m["ok"] else f"exit {m['exit_code']}"
+        if "error" in m:
+            status += f" ({m['error']})"
         if m["passed"] is True:
             status += ", passed"
         elif m["passed"] is False:
@@ -919,10 +1027,10 @@ def suite(manifest_path) -> int:
 def emit_plot_data(results_dir) -> int:
     """Collect plot-ready series from completed runs under a directory.
 
-    Decay profiles become (distance, log value) tables, Poisson runs
-    contribute their gap histograms, IDS runs their curves.  Runs without a
-    manifest are skipped (incomplete); runs whose series files are missing
-    are listed but not fatal.
+    Every CSV a run's manifest lists is copied as ``<run>_<stem>.csv``,
+    except decay profiles, which become (distance, log value) tables named
+    ``<run>_decay.csv``.  Runs without a manifest are skipped (incomplete);
+    runs whose series files are missing are listed but not fatal.
     """
     root = Path(results_dir)
     plot_dir = root / "plot_data"
@@ -934,29 +1042,18 @@ def emit_plot_data(results_dir) -> int:
             continue
         try:
             with open(manifest_file) as fh:
-                kind = json.load(fh).get("kind")
+                data = json.load(fh)
         except (OSError, json.JSONDecodeError):
             continue
-        name = run_dir.name
-        wanted: list[tuple[str, str]] = []
-        if kind == "decay-profile":
-            wanted = [("profile.csv", f"{name}_decay.csv")]
-        elif kind == "poisson":
-            wanted = [("gaps.csv", f"{name}_gaps.csv"), ("ids.csv", f"{name}_ids.csv")]
-        elif kind == "ids":
-            wanted = [("ids.csv", f"{name}_ids.csv")]
-        elif kind == "concentration":
-            wanted = [("concentration.csv", f"{name}_concentration.csv")]
-        elif kind == "wegner":
-            wanted = [("wegner.csv", f"{name}_wegner.csv")]
-        for src_name, dst_name in wanted:
+        files = data.get("files", []) if isinstance(data, dict) else []
+        for src_name in [f for f in files if isinstance(f, str) and f.endswith(".csv")]:
             src = run_dir / src_name
             if not src.exists():
                 missing.append(str(src))
                 continue
             plot_dir.mkdir(parents=True, exist_ok=True)
-            dst = plot_dir / dst_name
-            if kind == "decay-profile":
+            if src_name == "profile.csv":
+                dst = plot_dir / f"{run_dir.name}_decay.csv"
                 with open(src) as fh:
                     rows = list(csv.reader(fh))[1:]
                 with open(dst, "w", newline="") as fh:
@@ -967,6 +1064,7 @@ def emit_plot_data(results_dir) -> int:
                         if v > 0:
                             writer.writerow([dist, repr(math.log(v))])
             else:
+                dst = plot_dir / f"{run_dir.name}_{Path(src_name).stem}.csv"
                 shutil.copyfile(src, dst)
             emitted.append(str(dst))
     for path in emitted:

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -11,7 +10,6 @@ from .errors import AlloysimError, ValidationError
 from .measures import CouplingMeasure, declared_holder, density_norms
 from .potential import (
     SingleSitePotential,
-    build_single_site,
     convolution_inverse_norm,
     vanishing_order,
 )
@@ -49,35 +47,6 @@ class AlloyModel:
             "measure": self.measure.to_dict(),
             "decay_cutoff": self.potential.decay_cutoff,
         }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "AlloyModel":
-        required = {"dimension", "lambda", "single_site", "measure"}
-        allowed = required | {"decay_cutoff"}
-        if not isinstance(data, dict):
-            raise ValidationError("model block must be an object")
-        unknown = set(data) - allowed
-        if unknown:
-            raise ValidationError(f"unknown model keys: {sorted(unknown)}")
-        missing = required - set(data)
-        if missing:
-            raise ValidationError(f"missing model keys: {sorted(missing)}")
-        dim = data["dimension"]
-        if not isinstance(dim, int) or dim < 1:
-            raise ValidationError("dimension must be a positive integer")
-        entries = []
-        for item in data["single_site"]:
-            if not (isinstance(item, (list, tuple)) and len(item) == 2):
-                raise ValidationError("single_site entries must be [point, value] pairs")
-            entries.append((tuple(item[0]), item[1]))
-        u = build_single_site(dim, entries, decay_cutoff=data.get("decay_cutoff", 0.0))
-        measure = CouplingMeasure.from_dict(data["measure"])
-        return cls(potential=u, measure=measure, lam=float(data["lambda"]))
-
-    @classmethod
-    def from_json(cls, path) -> "AlloyModel":
-        with open(path) as fh:
-            return cls.from_dict(json.load(fh))
 
 
 def _finite_or_none(value: Optional[float], notes: dict, key: str, reason: str):

@@ -1,9 +1,16 @@
+import copy
+import dataclasses
 import json
 import math
+import re
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import alloysim as al
+from alloysim import experiments
 from alloysim.cli import main
 from alloysim.experiments import (
     emit_plot_data,
@@ -12,6 +19,12 @@ from alloysim.experiments import (
     run,
     suite,
 )
+
+REPO = Path(__file__).resolve().parents[1]
+SHIPPED = sorted(
+    p for p in (REPO / "suites").rglob("*.json") if p.name != "manifest.json"
+)
+ACCEPTANCE = [p for p in SHIPPED if p.parent.name == "acceptance_checks"]
 
 UNIFORM01 = {"kind": "uniform", "params": {"lo": 0.0, "hi": 1.0}}
 FLAGSHIP_MODEL = {
@@ -123,6 +136,36 @@ class TestLoadConfig:
         with pytest.raises(al.ValidationError, match="not valid JSON"):
             load_config(path)
 
+    @pytest.mark.parametrize("path", SHIPPED, ids=lambda p: p.stem)
+    def test_shipped_configs_load(self, path):
+        cfg = load_config(path)
+        assert cfg.kind in experiment_kinds()
+
+    def test_every_kind_has_a_table_row(self):
+        for kind in experiment_kinds():
+            row = experiments._KINDS[kind]
+            assert callable(row.runner)
+            assert row.params and all(
+                isinstance(p, experiments._Param) for p in row.params.values()
+            )
+
+    def test_readme_lists_every_kind(self):
+        text = (REPO / "README.md").read_text()
+        para = text[text.index("Available kinds:"):].split(". ")[0]
+        assert re.findall(r"`([a-z-]+)`", para) == experiment_kinds()
+
+    def test_params_are_typed_and_defaulted(self, tmp_path):
+        payload = json.loads((REPO / "suites/acceptance_checks/poisson.json").read_text())
+        payload["params"]["ids_realizations"] = 30.0
+        cfg = load_config(write_config(tmp_path / "p.json", payload))
+        assert cfg.params["ids_realizations"] == 30
+        assert isinstance(cfg.params["ids_realizations"], int)
+        assert cfg.params["bin_width"] == 0.25 and cfg.params["window"] == (-5.0, 5.0)
+        assert "ids_seed" not in cfg.params
+        # the hash covers the config as given, not the typed reading
+        raw = load_config(REPO / "suites/acceptance_checks/poisson.json")
+        assert cfg.config_hash != raw.config_hash
+
     def test_kind_registry_is_published(self):
         kinds = experiment_kinds()
         assert kinds == sorted(kinds)
@@ -197,6 +240,68 @@ class TestRun:
         assert not (out / "results.json").exists()
         assert "nonintegrable" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "config, path, value",
+        [
+            ("wegner", ("n_samples",), "lots"),
+            ("wegner", ("n_samples",), 0),
+            ("wegner", ("n_samples",), -3),
+            ("wegner", ("n_samples",), 2.5),
+            ("wegner", ("n_samples",), True),
+            ("wegner", ("n_samples",), None),
+            ("apriori-lam10", ("z",), [10.0]),
+            ("inverse-moment-equality", ("expect",), "bogus"),
+            ("gaussian-conditioning", ("tau_mc", "bogus"), 1),
+            ("inverse-moment-equality", ("measure", "params", "lo"), "a"),
+            ("wegner", ("model", "lambda"), "ten"),
+            ("wegner", ("model", "lambda"), None),
+            ("wegner", ("model", "single_site"), 5),
+        ],
+    )
+    def test_malformed_input_exits_2_without_output_dir(
+        self, tmp_path, capsys, config, path, value
+    ):
+        payload = json.loads((REPO / f"suites/acceptance_checks/{config}.json").read_text())
+        target = payload if path[0] == "model" else payload["params"]
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        cfg = write_config(tmp_path / "bad.json", payload)
+        out = tmp_path / "never"
+        assert run(cfg, out=str(out)) == 2
+        assert "validation error" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_missing_config_file_exits_2(self, tmp_path, capsys):
+        assert run(tmp_path / "absent.json", out=str(tmp_path / "never")) == 2
+        assert "cannot read config" in capsys.readouterr().err
+        assert not (tmp_path / "never").exists()
+
+    def test_runner_validation_error_removes_created_dirs(self, tmp_path, capsys):
+        # a profile without the {0..n-1} support has no pinning certificate
+        payload = json.loads((REPO / "suites/acceptance_checks/certificate.json").read_text())
+        payload["model"]["single_site"] = [[[0], 1.0], [[2], 1.0]]
+        cfg = write_config(tmp_path / "cert.json", payload)
+        out = tmp_path / "new" / "run"
+        assert run(cfg, out=str(out)) == 2
+        assert "validation error" in capsys.readouterr().err
+        assert not (tmp_path / "new").exists()
+
+    def test_runner_validation_error_keeps_existing_dir(self, tmp_path, capsys):
+        payload = {
+            "schema_version": 1,
+            "kind": "decay-profile",
+            "model": {**FLAGSHIP_MODEL, "dimension": 2, "single_site": [[[0, 0], 1.0]]},
+            "params": {"radius": 1, "z": [0.0, 0.5], "s": 0.5, "n_samples": 2},
+        }
+        cfg = write_config(tmp_path / "decay2d.json", payload)
+        out = tmp_path / "existing"
+        out.mkdir()
+        (out / "keep.txt").write_text("mine")
+        assert run(cfg, out=str(out)) == 2
+        assert "offsets" in capsys.readouterr().err
+        assert (out / "keep.txt").read_text() == "mine"
+
     def test_inverse_moment_equality_run(self, tmp_path):
         cfg = inverse_moment_config(tmp_path)
         out = tmp_path / "im"
@@ -255,6 +360,42 @@ class TestSuite:
         by_name = {m["name"]: m for m in report["members"]}
         assert by_name["broken"]["exit_code"] == 2
         assert by_name["good"]["ok"] is True
+        capsys.readouterr()
+
+    def test_member_crash_is_exit_4_and_suite_reports(self, tmp_path, capsys, monkeypatch):
+        def boom(cfg, outdir):
+            raise RuntimeError("runner exploded")
+
+        row = experiments._KINDS["concentration"]
+        monkeypatch.setitem(
+            experiments._KINDS, "concentration", dataclasses.replace(row, runner=boom)
+        )
+        good = inverse_moment_config(tmp_path, "good.json")
+        bad = concentration_config(tmp_path, "bad.json")
+        manifest = self.make_suite(tmp_path, [good, bad])
+        assert suite(manifest) == 1
+        report = json.loads((tmp_path / "results" / "suite_report.json").read_text())
+        by_name = {m["name"]: m for m in report["members"]}
+        assert by_name["good"]["ok"] is True and by_name["good"]["passed"] is True
+        assert by_name["bad"]["exit_code"] == 4
+        assert by_name["bad"]["error"] == "RuntimeError: runner exploded"
+        assert "Traceback" in by_name["bad"]["traceback"]
+        assert (tmp_path / "results" / "suite_report.txt").exists()
+        assert "runner exploded" in capsys.readouterr().out
+
+    def test_malformed_member_does_not_stop_suite(self, tmp_path, capsys):
+        good = inverse_moment_config(tmp_path, "good.json")
+        bad = inverse_moment_config(tmp_path, "bad.json")
+        payload = json.loads(bad.read_text())
+        payload["params"]["s"] = "lots"
+        write_config(bad, payload)
+        manifest = self.make_suite(tmp_path, [bad, good])
+        assert suite(manifest) == 1
+        report = json.loads((tmp_path / "results" / "suite_report.json").read_text())
+        by_name = {m["name"]: m for m in report["members"]}
+        assert by_name["bad"]["exit_code"] == 2
+        assert by_name["good"]["passed"] is True
+        assert not (tmp_path / "results" / "bad").exists()
         capsys.readouterr()
 
     def test_empty_suite_passes(self, tmp_path, capsys):
@@ -321,6 +462,81 @@ class TestEmitPlotData:
         src = (out / "profile.csv").read_text().strip().splitlines()[1:]
         first_val = float(src[0].split(",")[1])
         assert float(lines[1].split(",")[1]) == pytest.approx(math.log(first_val))
+
+
+    def test_series_follow_the_manifest_file_list(self, tmp_path, capsys):
+        run_dir = tmp_path / "runs" / "custom"
+        run_dir.mkdir(parents=True)
+        (run_dir / "spectrum.csv").write_text("e\n0.5\n")
+        (run_dir / "manifest.json").write_text(
+            json.dumps({"kind": "ids", "files": ["results.json", "spectrum.csv", "manifest.json"]})
+        )
+        assert emit_plot_data(tmp_path / "runs") == 0
+        capsys.readouterr()
+        plot = tmp_path / "runs" / "plot_data"
+        assert [p.name for p in plot.iterdir()] == ["custom_spectrum.csv"]
+
+
+# Replacement values a malformed config might carry.
+BAD_VALUES = st.one_of(
+    st.text(max_size=4),
+    st.booleans(),
+    st.none(),
+    st.integers(max_value=-1),
+    st.floats(allow_nan=False, allow_infinity=False).filter(lambda f: not f.is_integer()),
+    st.just([]),
+    st.lists(st.floats(-2, 2), max_size=1),
+    st.dictionaries(st.sampled_from(["kind", "lo", "bogus"]), st.integers(), max_size=2),
+)
+
+
+def _key_paths(obj, prefix=()):
+    """Every key path inside a params object, nested objects included."""
+    for key, value in obj.items():
+        yield prefix + (key,)
+        if isinstance(value, dict):
+            yield from _key_paths(value, prefix + (key,))
+
+
+def _objects(obj, prefix=()):
+    yield prefix
+    for key, value in obj.items():
+        if isinstance(value, dict):
+            yield from _objects(value, prefix + (key,))
+
+
+@settings(
+    max_examples=100,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(data=st.data())
+def test_mutated_configs_load_or_fail_validation(tmp_path, data):
+    """One mutated param never escapes load_config as anything but ValidationError."""
+    path = data.draw(st.sampled_from(ACCEPTANCE), label="config")
+    payload = json.loads(path.read_text())
+    params = copy.deepcopy(payload["params"])
+    action = data.draw(st.sampled_from(["replace", "delete", "unknown key"]), label="action")
+    if action == "unknown key":
+        where = data.draw(st.sampled_from(list(_objects(params))), label="object")
+        key, value = "bogus", 1
+    else:
+        where = data.draw(st.sampled_from(list(_key_paths(params))), label="param")
+        where, key = where[:-1], where[-1]
+        value = data.draw(BAD_VALUES, label="value")
+    target = params
+    for k in where:
+        target = target[k]
+    if action == "delete":
+        del target[key]
+    else:
+        target[key] = value
+    payload["params"] = params
+    cfg = write_config(tmp_path / "mutated.json", payload)
+    try:
+        load_config(cfg)
+    except al.ValidationError:
+        pass
 
 
 class TestCli:
