@@ -4,7 +4,9 @@ Every estimator is a pure function of its arguments including
 ``(master_seed)``: realization ``r`` draws from stream ``r``, and retries
 after a rejected draw (real energy hitting the spectrum) bump only the
 attempt counter of that stream, so results are independent of evaluation
-order and reproducible bit for bit.
+order and reproducible bit for bit.  All estimators share one realization
+loop, and each realization is drawn once per call: every interval, disorder
+strength or offset of a sweep is evaluated on the same field.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import numpy as np
 
 from .errors import NumericalError, ValidationError
 from .field import sample_field
-from .lattice import FiniteVolume, assemble, green_column, spectrum
+from .lattice import FiniteVolume, _check_not_in_spectrum, assemble, green_column, spectrum
 from .measures import density_norms
 from .model import AlloyModel
 from .potential import convolution_inverse_norm, uniform_bound_constants, vanishing_order
@@ -53,15 +55,30 @@ def _mean_estimate(values: np.ndarray, master_seed: int, metadata: dict) -> Esti
     )
 
 
-def _retry_draws(n_samples: int, draw):
-    """Collect draw(r, attempt) for each realization, retrying singular ones."""
+class _InvariantViolation(NumericalError):
+    """A per-draw invariant failed; fatal, never redrawn."""
+
+
+def _realizations(
+    model: AlloyModel, volume: FiniteVolume, n_samples: int, master_seed: int, reduce
+):
+    """``reduce(field)`` for realizations ``0 .. n_samples-1``, in order.
+
+    Realization ``r`` draws from stream ``r``.  A ``NumericalError`` from the
+    draw or its reduction redraws that stream alone with ``attempt + 1``, up
+    to ``_MAX_ATTEMPTS`` attempts.  Returns the reductions and the number of
+    redraws.
+    """
     out = []
     redraws = 0
     for r in range(n_samples):
         for attempt in range(_MAX_ATTEMPTS):
             try:
-                out.append(draw(r, attempt))
+                real = sample_field(model.potential, model.measure, volume, master_seed, r, attempt)
+                out.append(reduce(real))
                 break
+            except _InvariantViolation:
+                raise
             except NumericalError:
                 redraws += 1
         else:
@@ -69,6 +86,14 @@ def _retry_draws(n_samples: int, draw):
                 f"realization {r} still singular after {_MAX_ATTEMPTS} redraws"
             )
     return out, redraws
+
+
+def _counts(evals: np.ndarray, intervals) -> list[float]:
+    """Number of sorted eigenvalues in each closed interval."""
+    return [
+        float(np.searchsorted(evals, b, side="right") - np.searchsorted(evals, a, side="left"))
+        for a, b in intervals
+    ]
 
 
 def _require_inside(volume: FiniteVolume, *points) -> list[int]:
@@ -103,13 +128,11 @@ def fractional_moment(
     ix, iy = _require_inside(volume, x, y)
     z = complex(z)
 
-    def draw(r, attempt):
-        real = sample_field(model.potential, model.measure, volume, master_seed, r, attempt)
-        op = assemble(real, model.lam)
-        col = green_column(op, z, y)
+    def reduce(real):
+        col = green_column(assemble(real, model.lam), z, y)
         return abs(col[ix]) ** s
 
-    values, redraws = _retry_draws(n_samples, draw)
+    values, redraws = _realizations(model, volume, n_samples, master_seed, reduce)
     meta: dict = {
         "s": s,
         "z": [z.real, z.imag],
@@ -181,13 +204,11 @@ def green_decay_profile(
     dists = np.asarray([int(np.abs(t - base).sum()) for t in targets])
     z = complex(z)
 
-    def draw(r, attempt):
-        real = sample_field(model.potential, model.measure, volume, master_seed, r, attempt)
-        op = assemble(real, model.lam)
-        row = green_column(op, z, x)
+    def reduce(real):
+        row = green_column(assemble(real, model.lam), z, x)
         return np.abs(row[cols]) ** s
 
-    rows, redraws = _retry_draws(n_samples, draw)
+    rows, _ = _realizations(model, volume, n_samples, master_seed, reduce)
     data = np.asarray(rows)
     estimates = [
         _mean_estimate(data[:, j], master_seed, {"distance": int(dists[j])})
@@ -217,11 +238,12 @@ def green_decay_profile(
 def wegner_count(
     model: AlloyModel,
     volume: FiniteVolume,
-    interval: tuple[float, float],
+    intervals: Sequence[tuple[float, float]],
     n_samples: int,
     master_seed: int,
-) -> Estimate:
-    """Expected number of eigenvalues in an interval.
+) -> list[Estimate]:
+    """Expected number of eigenvalues in each interval, all counted on the
+    same spectra; one estimate per interval.
 
     Metadata reports the structural pieces of the counting bound: the
     density total variation, the volume exponent ``2d + N`` with ``N`` the
@@ -229,21 +251,23 @@ def wegner_count(
     implied empirical constant (estimate divided by
     ``(1/lam) * ||rho||_Var * |I| * (2L+1)**(2d+N)``).
     """
-    a, b = interval
-    if not b > a:
-        raise ValidationError("interval must be nondegenerate")
-    counts = np.empty(n_samples)
-    for r in range(n_samples):
-        real = sample_field(model.potential, model.measure, volume, master_seed, r)
-        evals = spectrum(assemble(real, model.lam))
-        counts[r] = np.searchsorted(evals, b, side="right") - np.searchsorted(evals, a, side="left")
-    meta: dict = {"interval": [a, b], "volume_points": len(volume)}
+    for a, b in intervals:
+        if not b > a:
+            raise ValidationError("interval must be nondegenerate")
+    rows, _ = _realizations(
+        model, volume, n_samples, master_seed,
+        lambda real: _counts(spectrum(assemble(real, model.lam)), intervals),
+    )
     try:
         order = vanishing_order(model.potential).order
         tv = density_norms(model.measure).total_variation
-        meta["volume_exponent_correction"] = order
-        meta["rho_total_variation"] = tv
-        if volume.kind == "box" and model.lam > 0 and math.isfinite(tv):
+        pieces = {"volume_exponent_correction": order, "rho_total_variation": tv}
+    except (ValidationError, NumericalError) as exc:
+        pieces = {"bound_note": str(exc)}
+    out = []
+    for (a, b), counts in zip(intervals, np.asarray(rows).T.copy()):
+        meta: dict = {"interval": [a, b], "volume_points": len(volume), **pieces}
+        if "bound_note" not in meta and volume.kind == "box" and model.lam > 0 and math.isfinite(tv):
             scale = (
                 (1.0 / model.lam)
                 * tv
@@ -252,9 +276,8 @@ def wegner_count(
             )
             meta["bound_scale"] = scale
             meta["implied_constant"] = float(np.mean(counts) / scale)
-    except (ValidationError, NumericalError) as exc:
-        meta["bound_note"] = str(exc)
-    return _mean_estimate(counts, master_seed, meta)
+        out.append(_mean_estimate(counts, master_seed, meta))
+    return out
 
 
 def minami_bound_constant(model: AlloyModel, cu_tol: float = 1e-6) -> float:
@@ -273,16 +296,18 @@ def minami_determinant(
     z: complex,
     x,
     y,
+    lams: Sequence[float],
     n_samples: int,
     master_seed: int,
-) -> Estimate:
-    """Mean determinant of the 2x2 imaginary Green submatrix at (x, y).
+) -> list[Estimate]:
+    """Mean determinant of the 2x2 imaginary Green submatrix at (x, y), one
+    estimate per disorder strength in ``lams``, all solved on the same fields.
 
     For ``Im z > 0`` the imaginary part of the resolvent is positive
     semidefinite, so each per-draw determinant must be non-negative; a value
-    below -1e-10 raises immediately instead of polluting the mean.  Metadata
-    carries the closed-form bound ``(pi / lam)**2`` times the two-eigenvalue
-    constant when the model provides it.
+    below -1e-10 raises immediately, without a redraw, instead of polluting
+    the mean.  Metadata carries the closed-form bound ``(pi / lam)**2`` times
+    the two-eigenvalue constant when the model provides it.
     """
     z = complex(z)
     if z.imag <= 0:
@@ -290,40 +315,46 @@ def minami_determinant(
     ix, iy = _require_inside(volume, x, y)
     if ix == iy:
         raise ValidationError("need two distinct points")
-    vals = np.empty(n_samples)
     rhs = np.zeros((len(volume), 2), dtype=complex)
     rhs[ix, 0] = 1.0
     rhs[iy, 1] = 1.0
-    for r in range(n_samples):
-        real = sample_field(model.potential, model.measure, volume, master_seed, r)
-        op = assemble(real, model.lam)
-        shifted = op.matrix.astype(complex)
-        np.fill_diagonal(shifted, op.diagonal - z)
-        cols = np.linalg.solve(shifted, rhs)
-        sub = cols[[ix, iy]][:, [0, 1]]
-        im = sub.imag
-        det = im[0, 0] * im[1, 1] - im[0, 1] * im[1, 0]
-        if det < -1e-10:
-            raise NumericalError(
-                f"imaginary Green submatrix lost positive semidefiniteness: det = {det!r}"
-            )
-        vals[r] = det
-    meta: dict = {
-        "z": [z.real, z.imag],
-        "x": list(np.atleast_1d(x)),
-        "y": list(np.atleast_1d(y)),
-        "min_det": float(vals.min()),
-    }
+
+    def reduce(real):
+        dets = []
+        for lam in lams:
+            op = assemble(real, lam)
+            shifted = op.matrix.astype(complex)
+            np.fill_diagonal(shifted, op.diagonal - z)
+            im = np.linalg.solve(shifted, rhs)[[ix, iy]].imag
+            det = im[0, 0] * im[1, 1] - im[0, 1] * im[1, 0]
+            if det < -1e-10:
+                raise _InvariantViolation(
+                    f"imaginary Green submatrix lost positive semidefiniteness: det = {det!r}"
+                )
+            dets.append(det)
+        return dets
+
+    rows, _ = _realizations(model, volume, n_samples, master_seed, reduce)
     try:
-        if model.lam <= 0:
-            raise ValidationError("no disorder: the determinant bound needs lam > 0")
-        cmin = minami_bound_constant(model)
-        meta["bound"] = (math.pi / model.lam) ** 2 * cmin
-        meta["bound_constant"] = cmin
+        cmin, note = minami_bound_constant(model), None
     except (ValidationError, NumericalError) as exc:
-        meta["bound"] = None
-        meta["bound_note"] = str(exc)
-    return _mean_estimate(vals, master_seed, meta)
+        cmin, note = None, str(exc)
+    out = []
+    for lam, vals in zip(lams, np.asarray(rows).T.copy()):
+        meta: dict = {
+            "z": [z.real, z.imag],
+            "x": list(np.atleast_1d(x)),
+            "y": list(np.atleast_1d(y)),
+            "min_det": float(vals.min()),
+        }
+        if lam > 0 and cmin is not None:
+            meta["bound"] = (math.pi / lam) ** 2 * cmin
+            meta["bound_constant"] = cmin
+        else:
+            meta["bound"] = None
+            meta["bound_note"] = note if lam > 0 else "no disorder: the determinant bound needs lam > 0"
+        out.append(_mean_estimate(vals, master_seed, meta))
+    return out
 
 
 @dataclass
@@ -349,16 +380,13 @@ def two_level_probability(
     a, b = interval
     if not b > a:
         raise ValidationError("interval must be nondegenerate")
-    indicator = np.empty(n_samples)
-    half = np.empty(n_samples)
-    for r in range(n_samples):
-        real = sample_field(model.potential, model.measure, volume, master_seed, r)
-        evals = spectrum(assemble(real, model.lam))
-        k = int(
-            np.searchsorted(evals, b, side="right") - np.searchsorted(evals, a, side="left")
-        )
-        indicator[r] = 1.0 if k >= 2 else 0.0
-        half[r] = 0.5 * k * (k - 1)
+
+    def reduce(real):
+        (k,) = _counts(spectrum(assemble(real, model.lam)), [(a, b)])
+        return 1.0 if k >= 2 else 0.0, 0.5 * k * (k - 1)
+
+    rows, _ = _realizations(model, volume, n_samples, master_seed, reduce)
+    indicator, half = np.asarray(rows).T.copy()
     meta = {"interval": [a, b], "volume_points": len(volume)}
     bound = None
     note = None
@@ -440,8 +468,7 @@ def recursion_probe(
             if j >= 0:
                 neighbor_idx.append(j)
 
-    def draw(r, attempt):
-        real = sample_field(model.potential, model.measure, volume, master_seed, r, attempt)
+    def reduce(real):
         per_lam = []
         for lam in lams:
             op = assemble(real, lam)
@@ -454,7 +481,7 @@ def recursion_probe(
             per_lam.append((abs(g_y) ** s, float(np.sum(np.abs(neigh) ** s)), residual))
         return per_lam
 
-    draws, redraws = _retry_draws(n_samples, draw)
+    draws, redraws = _realizations(model, volume, n_samples, master_seed, reduce)
     rows = []
     skipped = []
     max_res = 0.0
@@ -507,15 +534,13 @@ def fvc_probability(
         )
     threshold = float(L) ** (-exponent)
 
-    def draw(r, attempt):
-        real = sample_field(model.potential, model.measure, volume, master_seed, r, attempt)
+    def reduce(real):
         op = assemble(real, model.lam)
-        if float(np.min(np.abs(spectrum(op) - energy))) <= 1e-12 * max(1.0, op.norm_bound()):
-            raise NumericalError("energy hit the finite-volume spectrum")
+        _check_not_in_spectrum(op, complex(energy))
         inv = np.linalg.inv(op.matrix - energy * np.eye(op.size))
         return 1.0 if np.all(np.abs(inv[ii, jj]) <= threshold) else 0.0
 
-    values, redraws = _retry_draws(n_samples, draw)
+    values, redraws = _realizations(model, volume, n_samples, master_seed, reduce)
     arr = np.asarray(values)
     p = float(arr.mean())
     return Estimate(

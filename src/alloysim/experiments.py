@@ -335,6 +335,20 @@ _MODEL = {
 }
 
 
+def _string(v, path, dim):
+    if not isinstance(v, str):
+        raise _bad(path, "a string", v)
+    return v
+
+
+_SUITE = {
+    "schema_version": _enum(1),
+    "name": _Param(_string, _OPTIONAL),
+    "configs": _list(_Param(_string), min_len=0),
+    "out": _Param(_string, _OPTIONAL),
+}
+
+
 def _read_model(data) -> AlloyModel:
     dim = data.get("dimension") if isinstance(data, dict) else None
     m = _read_params(_MODEL, data, "model", dim)
@@ -540,13 +554,13 @@ def _run_decay_profile(cfg: ExperimentConfig, outdir: Path):
 def _run_wegner(cfg: ExperimentConfig, outdir: Path):
     p = cfg.params
     vol = _volume(cfg)
-    center = p["center"]
+    center, widths = p["center"], p["widths"]
+    ests = wegner_count(
+        cfg.model, vol, [(center - w / 2, center + w / 2) for w in widths],
+        p["n_samples"], cfg.seed,
+    )
     rows = []
-    for width in p["widths"]:
-        est = wegner_count(
-            cfg.model, vol, (center - width / 2, center + width / 2),
-            p["n_samples"], cfg.seed,
-        )
+    for width, est in zip(widths, ests):
         rows.append(
             {
                 "width": width,
@@ -579,20 +593,21 @@ def _run_minami(cfg: ExperimentConfig, outdir: Path):
     p = cfg.params
     vol = _volume(cfg)
     z = complex(*p["z"])
-    est = minami_determinant(
-        cfg.model, vol, z, p["x"], p["y"], p["n_samples"], cfg.seed
+    (est,) = minami_determinant(
+        cfg.model, vol, z, p["x"], p["y"], [cfg.model.lam], p["n_samples"], cfg.seed
     )
     rec = est.to_record("minami_determinant", cfg.config_hash)
     bound = est.metadata.get("bound")
     ok = est.value <= bound + 3 * est.stderr if bound is not None else None
     if "lams" in p:
-        lam_rows = []
-        for lam in p["lams"]:
-            scaled = minami_determinant(
-                dc_replace(cfg.model, lam=lam), vol, z, p["x"], p["y"],
-                p.get("scaling_samples", p["n_samples"]), cfg.seed,
-            )
-            lam_rows.append({"lam": lam, "value": scaled.value, "stderr": scaled.stderr})
+        scaled = minami_determinant(
+            cfg.model, vol, z, p["x"], p["y"], p["lams"],
+            p.get("scaling_samples", p["n_samples"]), cfg.seed,
+        )
+        lam_rows = [
+            {"lam": lam, "value": est.value, "stderr": est.stderr}
+            for lam, est in zip(p["lams"], scaled)
+        ]
         slope = float(
             np.polyfit(
                 np.log([r["lam"] for r in lam_rows]),
@@ -968,29 +983,30 @@ def suite(manifest_path) -> int:
     own output subdirectory.  Any member that fails to complete or reports
     ``passed: false`` makes the suite exit nonzero; the other members'
     artifacts are still written.  A member whose run raises an unexpected
-    exception gets exit code 4 and its traceback in the report.
+    exception gets exit code 4 and its traceback in the report.  A malformed
+    manifest (``name`` and ``out`` strings, ``configs`` a list of strings) or
+    an ``ALLOYSIM_WORKERS`` that is not an integer >= 1 exits 2 before any
+    member runs or anything is written.
     """
     manifest_path = Path(manifest_path)
     try:
         with open(manifest_path) as fh:
-            data = json.load(fh)
-        if data.get("schema_version") != 1:
-            raise ValidationError("suite schema_version must be 1")
-        unknown = set(data) - {"schema_version", "name", "configs", "out"}
-        if unknown:
-            raise ValidationError(f"unknown suite keys: {sorted(unknown)}")
-        configs = data["configs"]
-    except (OSError, json.JSONDecodeError, KeyError, ValidationError) as exc:
+            data = _read_params(_SUITE, json.load(fh), "suite", None)
+    except (OSError, json.JSONDecodeError, ValidationError) as exc:
         print(f"suite manifest error: {exc}", file=sys.stderr)
+        return 2
+    raw_workers = os.environ.get("ALLOYSIM_WORKERS") or "1"
+    workers = int(raw_workers) if raw_workers.isdecimal() else 0
+    if workers < 1:
+        print(f"ALLOYSIM_WORKERS must be an integer >= 1, got {raw_workers!r}", file=sys.stderr)
         return 2
     base = manifest_path.parent
     out_root = Path(data.get("out", base / f"{manifest_path.stem}_results"))
     if not out_root.is_absolute():
         out_root = base / out_root
     jobs = [
-        (str(base / c), str(out_root / Path(c).stem)) for c in configs
+        (str(base / c), str(out_root / Path(c).stem)) for c in data["configs"]
     ]
-    workers = int(os.environ.get("ALLOYSIM_WORKERS", "1") or 1)
     if workers > 1 and len(jobs) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             members = list(pool.map(_suite_member, jobs))

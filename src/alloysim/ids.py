@@ -79,6 +79,13 @@ class IdsTable:
                 writer.writerow([repr(float(e)), repr(float(v))])
 
 
+def _spectra(model: AlloyModel, volume: FiniteVolume, n_realizations: int, master_seed: int):
+    """Spectrum of realization ``r`` (stream ``r``), for ``r < n_realizations``."""
+    for r in range(n_realizations):
+        real = sample_field(model.potential, model.measure, volume, master_seed, r)
+        yield spectrum(assemble(real, model.lam))
+
+
 def _default_grid(model: AlloyModel, pooled: np.ndarray, n_points: int) -> np.ndarray:
     lo_sup, hi_sup = model.measure.support
     d = model.dimension
@@ -110,11 +117,7 @@ def ids_estimate(
         energy_grid = np.asarray(energy_grid, dtype=float)
         if energy_grid.ndim != 1 or len(energy_grid) < 2 or np.any(np.diff(energy_grid) <= 0):
             raise ValidationError("energy grid must be one-dimensional and strictly increasing")
-    blocks = []
-    for r in range(n_realizations):
-        real = sample_field(model.potential, model.measure, volume, master_seed, r)
-        blocks.append(spectrum(assemble(real, model.lam)))
-    pooled = np.sort(np.concatenate(blocks))
+    pooled = np.sort(np.concatenate(list(_spectra(model, volume, n_realizations, master_seed))))
     if energy_grid is None:
         energy_grid = _default_grid(model, pooled, n_grid)
     values = np.searchsorted(pooled, energy_grid, side="right") / (
@@ -233,12 +236,8 @@ def sample_rescaled_spectra(
     master_seed: int,
 ) -> list:
     """Draw independent spectra and rescale each around the reference energy."""
-    out = []
-    for r in range(n_realizations):
-        real = sample_field(model.potential, model.measure, volume, master_seed, r)
-        evals = spectrum(assemble(real, model.lam))
-        out.append(rescale_eigenvalues(evals, ids, e0, len(volume)))
-    return out
+    spectra = _spectra(model, volume, n_realizations, master_seed)
+    return [rescale_eigenvalues(evals, ids, e0, len(volume)) for evals in spectra]
 
 
 @dataclass

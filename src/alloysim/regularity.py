@@ -24,7 +24,6 @@ from scipy.linalg import cho_factor, cho_solve
 from scipy.special import ndtr, ndtri
 
 from .errors import NumericalError, ValidationError
-from .field import sample_field
 from .lattice import build_volume
 from .measures import CouplingMeasure
 from .model import AlloyModel
@@ -107,28 +106,38 @@ def concentration_empirical(
     window).  The standard error is the binomial one at the maximizing
     window.
     """
-    if eps <= 0:
-        raise ValidationError("window width must be positive")
-    if not 0 < a_step <= eps / 10:
-        raise ValidationError("need 0 < a_step <= eps/10")
+    return _concentration(model, site, [(eps, a_step)], n_samples, master_seed)[0]
+
+
+def _concentration(model: AlloyModel, site, windows, n_samples: int, master_seed: int) -> list:
+    """One estimate per ``(eps, a_step)`` window, all on one sorted sample."""
+    for eps, a_step in windows:
+        if eps <= 0:
+            raise ValidationError("window width must be positive")
+        if not 0 < a_step <= eps / 10:
+            raise ValidationError("need 0 < a_step <= eps/10")
     (site_pt,) = _normalize_sites(model, [site])
     _, weights, _ = _site_weight_vector(model, [site_pt])
     rng = stream_rng(master_seed, 0)
     omegas = model.measure.sample(rng, n_samples * weights.shape[1]).reshape(n_samples, -1)
     values = np.sort(omegas @ weights[0])
-    grid = np.arange(values[0] - eps, values[-1] + a_step, a_step)
-    counts = np.searchsorted(values, grid + eps, side="right") - np.searchsorted(
-        values, grid, side="left"
-    )
-    best = int(np.argmax(counts))
-    p = counts[best] / n_samples
-    return Estimate(
-        value=float(p),
-        stderr=float(math.sqrt(max(p * (1 - p), 1e-12) / n_samples)),
-        n_samples=n_samples,
-        master_seed=master_seed,
-        metadata={"eps": eps, "a_step": a_step, "argmax_a": float(grid[best]), "site": list(site_pt)},
-    )
+    out = []
+    for eps, a_step in windows:
+        grid = np.arange(values[0] - eps, values[-1] + a_step, a_step)
+        counts = np.searchsorted(values, grid + eps, side="right") - np.searchsorted(
+            values, grid, side="left"
+        )
+        best = int(np.argmax(counts))
+        p = counts[best] / n_samples
+        out.append(Estimate(
+            value=float(p),
+            stderr=float(math.sqrt(max(p * (1 - p), 1e-12) / n_samples)),
+            n_samples=n_samples,
+            master_seed=master_seed,
+            metadata={"eps": eps, "a_step": a_step, "argmax_a": float(grid[best]),
+                      "site": list(site_pt)},
+        ))
+    return out
 
 
 @dataclass
@@ -159,17 +168,17 @@ def concentration_curve(
     master_seed: int,
     a_step: Optional[float] = None,
 ) -> ConcentrationCurve:
-    """Empirical concentration over a grid of window widths (shared samples)."""
-    vals, errs = [], []
-    for eps in eps_grid:
-        step = min(a_step, eps / 10) if a_step is not None else eps / 10
-        est = concentration_empirical(model, site, eps, n_samples, step, master_seed)
-        vals.append(est.value)
-        errs.append(est.stderr)
+    """Empirical concentration over a grid of window widths, all evaluated on
+    one sample with grid step ``min(a_step, eps / 10)`` (``eps / 10`` if unset)."""
+    ests = _concentration(
+        model, site,
+        [(eps, eps / 10 if a_step is None else min(a_step, eps / 10)) for eps in eps_grid],
+        n_samples, master_seed,
+    )
     return ConcentrationCurve(
         eps=np.asarray(eps_grid, dtype=float),
-        values=np.asarray(vals),
-        stderr=np.asarray(errs),
+        values=np.asarray([est.value for est in ests]),
+        stderr=np.asarray([est.stderr for est in ests]),
         mode="empirical",
     )
 

@@ -9,7 +9,6 @@ deterministic given them.
 import json
 import shutil
 import time
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -157,18 +156,16 @@ def test_criterion_05_recursion_identity(flagship_model):
 def test_criterion_06_minami(anderson_gaussian):
     vol = al.build_volume(1, 10)
     z = complex(0.0, 0.05)
-    est = al.minami_determinant(anderson_gaussian, vol, z, [0], [1], 10_000, 2106)
+    (est,) = al.minami_determinant(
+        anderson_gaussian, vol, z, [0], [1], [anderson_gaussian.lam], 10_000, 2106
+    )
     bound = est.metadata["bound"]
     bound_ok = est.value <= bound + 3 * est.stderr
     psd_ok = est.metadata["min_det"] >= -1e-10
 
     lams = (5.0, 10.0, 20.0, 40.0)
-    values = []
-    for lam in lams:
-        scaled = al.minami_determinant(
-            replace(anderson_gaussian, lam=lam), vol, z, [0], [1], 100_000, 2106
-        )
-        values.append(scaled.value)
+    scaled = al.minami_determinant(anderson_gaussian, vol, z, [0], [1], lams, 100_000, 2106)
+    values = [est.value for est in scaled]
     slope = float(np.polyfit(np.log(lams), np.log(values), 1)[0])
     check(
         6,
@@ -197,14 +194,10 @@ def test_criterion_07_counting_chain(anderson_gaussian):
 
 def test_criterion_08_wegner_stability(anderson_gaussian):
     vol = al.build_volume(1, 16)
-    per_width = []
-    implied = None
-    for width in (0.1, 0.05, 0.025):
-        est = al.wegner_count(
-            anderson_gaussian, vol, (-width / 2, width / 2), 2000, 4
-        )
-        per_width.append(est.value / width)
-        implied = est.metadata["implied_constant"]
+    widths = (0.1, 0.05, 0.025)
+    ests = al.wegner_count(anderson_gaussian, vol, [(-w / 2, w / 2) for w in widths], 2000, 4)
+    per_width = [est.value / width for width, est in zip(widths, ests)]
+    implied = ests[-1].metadata["implied_constant"]
     steps = [abs(b / a - 1.0) for a, b in zip(per_width, per_width[1:])]
     check(
         8,

@@ -1,11 +1,13 @@
 import math
+from dataclasses import replace as dc_replace
 
 import numpy as np
 import pytest
 from scipy import integrate
 
 import alloysim as al
-from alloysim import AlloyModel, build_single_site, build_volume
+from alloysim import AlloyModel, build_single_site, build_volume, estimators
+from alloysim.estimators import _MAX_ATTEMPTS, _realizations
 
 
 @pytest.fixture
@@ -140,18 +142,18 @@ class TestDecayProfile:
 class TestWegnerCount:
     def test_whole_spectrum_counts_everything(self, anderson_gaussian):
         vol = build_volume(1, radius=3)
-        est = al.wegner_count(anderson_gaussian, vol, (-1e4, 1e4), 50, master_seed=60)
+        est = al.wegner_count(anderson_gaussian, vol, [(-1e4, 1e4)], 50, master_seed=60)[0]
         assert est.value == len(vol)
         assert est.stderr == 0.0
 
     def test_far_interval_counts_nothing(self, anderson_gaussian):
         vol = build_volume(1, radius=3)
-        est = al.wegner_count(anderson_gaussian, vol, (1e5, 2e5), 50, master_seed=61)
+        est = al.wegner_count(anderson_gaussian, vol, [(1e5, 2e5)], 50, master_seed=61)[0]
         assert est.value == 0.0
 
     def test_implied_constant_metadata(self, flagship_model):
         vol = build_volume(1, radius=4)
-        est = al.wegner_count(flagship_model, vol, (1.0, 2.0), 200, master_seed=62)
+        est = al.wegner_count(flagship_model, vol, [(1.0, 2.0)], 200, master_seed=62)[0]
         meta = est.metadata
         assert meta["volume_exponent_correction"] == 0
         assert meta["rho_total_variation"] == pytest.approx(2.0)
@@ -161,27 +163,31 @@ class TestWegnerCount:
 
     def test_additive_in_disjoint_intervals(self, anderson_gaussian):
         vol = build_volume(1, radius=4)
-        whole = al.wegner_count(anderson_gaussian, vol, (-30.0, 30.0), 100, master_seed=63)
-        left = al.wegner_count(anderson_gaussian, vol, (-30.0, 0.0), 100, master_seed=63)
-        right = al.wegner_count(anderson_gaussian, vol, (0.0, 30.0), 100, master_seed=63)
+        whole, left, right = al.wegner_count(
+            anderson_gaussian, vol, [(-30.0, 30.0), (-30.0, 0.0), (0.0, 30.0)], 100, master_seed=63
+        )
         assert left.value + right.value == pytest.approx(whole.value, abs=1e-12)
 
     def test_degenerate_interval_rejected(self, anderson_gaussian):
         vol = build_volume(1, radius=2)
         with pytest.raises(al.ValidationError):
-            al.wegner_count(anderson_gaussian, vol, (1.0, 1.0), 10, 0)
+            al.wegner_count(anderson_gaussian, vol, [(1.0, 1.0)], 10, 0)
 
 
 class TestMinamiDeterminant:
     def test_determinants_stay_psd(self, anderson_gaussian):
         vol = build_volume(1, radius=5)
-        est = al.minami_determinant(anderson_gaussian, vol, 0.0 + 0.05j, 0, 3, 400, master_seed=70)
+        (est,) = al.minami_determinant(
+            anderson_gaussian, vol, 0.0 + 0.05j, 0, 3, [anderson_gaussian.lam], 400, master_seed=70
+        )
         assert est.metadata["min_det"] >= -1e-10
         assert est.value >= 0
 
     def test_bound_formula(self, anderson_gaussian):
         vol = build_volume(1, radius=4)
-        est = al.minami_determinant(anderson_gaussian, vol, 0.1j, 0, 1, 50, master_seed=71)
+        (est,) = al.minami_determinant(
+            anderson_gaussian, vol, 0.1j, 0, 1, [anderson_gaussian.lam], 50, master_seed=71
+        )
         cmin = al.minami_bound_constant(anderson_gaussian)
         assert est.metadata["bound"] == pytest.approx((math.pi / 10.0) ** 2 * cmin)
         assert est.value <= est.metadata["bound"] + 3 * est.stderr
@@ -189,12 +195,12 @@ class TestMinamiDeterminant:
     def test_real_energy_rejected(self, anderson_gaussian):
         vol = build_volume(1, radius=3)
         with pytest.raises(al.ValidationError):
-            al.minami_determinant(anderson_gaussian, vol, 0.5, 0, 1, 10, 0)
+            al.minami_determinant(anderson_gaussian, vol, 0.5, 0, 1, [anderson_gaussian.lam], 10, 0)
 
     def test_coincident_points_rejected(self, anderson_gaussian):
         vol = build_volume(1, radius=3)
         with pytest.raises(al.ValidationError):
-            al.minami_determinant(anderson_gaussian, vol, 0.1j, 1, 1, 10, 0)
+            al.minami_determinant(anderson_gaussian, vol, 0.1j, 1, 1, [anderson_gaussian.lam], 10, 0)
 
     def test_bound_constant_value(self, anderson_gaussian):
         # delta profile: C_u = 1; gaussian norms in closed form
@@ -295,3 +301,112 @@ class TestSmallnessProbability:
         vol = build_volume(1, points=[(0,), (1,), (5,)])
         with pytest.raises(al.ValidationError):
             al.fvc_probability(anderson_gaussian, vol, 0.3, 3.0, 10, 0)
+
+
+def _field(model, vol, seed, r):
+    return al.sample_field(model.potential, model.measure, vol, seed, r)
+
+
+def _mean_and_stderr(values):
+    return float(np.mean(values)), float(np.std(values, ddof=1)) / math.sqrt(len(values))
+
+
+class TestSweepOracles:
+    """Shared-draw sweeps equal per-entry scalar loops exactly."""
+
+    def test_wegner_intervals_match_per_interval_counts(self, anderson_gaussian):
+        vol = build_volume(1, radius=5)
+        intervals = [(-1.0, 1.0), (-0.5, 0.5), (0.2, 3.0)]
+        ests = al.wegner_count(anderson_gaussian, vol, intervals, 60, master_seed=64)
+        spectra = [
+            al.spectrum(al.assemble(_field(anderson_gaussian, vol, 64, r), anderson_gaussian.lam))
+            for r in range(60)
+        ]
+        for (a, b), est in zip(intervals, ests):
+            counts = np.empty(60)
+            for r, evals in enumerate(spectra):
+                counts[r] = np.count_nonzero((evals >= a) & (evals <= b))
+            assert (est.value, est.stderr) == _mean_and_stderr(counts)
+
+    def test_minami_lams_match_per_lam_determinants(self, anderson_gaussian):
+        vol = build_volume(1, radius=4)
+        z = 0.05j
+        lams = [5.0, 10.0, 20.0]
+        ests = al.minami_determinant(anderson_gaussian, vol, z, 0, 2, lams, 40, master_seed=72)
+        ix, iy = vol.index_of(0), vol.index_of(2)
+        rhs = np.eye(len(vol), dtype=complex)[:, [ix, iy]]
+        for lam, est in zip(lams, ests):
+            model = dc_replace(anderson_gaussian, lam=lam)
+            dets = np.empty(40)
+            for r in range(40):
+                op = al.assemble(_field(model, vol, 72, r), model.lam)
+                im = np.linalg.solve(op.matrix - z * np.eye(len(vol)), rhs)[[ix, iy]].imag
+                dets[r] = im[0, 0] * im[1, 1] - im[0, 1] * im[1, 0]
+            assert (est.value, est.stderr) == _mean_and_stderr(dets)
+            assert est.metadata["min_det"] == dets.min()
+            assert est.metadata["bound"] == (math.pi / lam) ** 2 * al.minami_bound_constant(model)
+
+
+class TestRealizationLoop:
+    @pytest.fixture
+    def draws(self, monkeypatch):
+        """(stream, attempt) of every field the estimators draw."""
+        calls = []
+        sample = estimators.sample_field
+
+        def spy(*args):
+            calls.append(args[4:6])
+            return sample(*args)
+
+        monkeypatch.setattr(estimators, "sample_field", spy)
+        return calls
+
+    def test_error_redraws_only_that_stream(self, anderson_gaussian, draws):
+        def reduce(real):
+            if draws[-1] == (2, 0):
+                raise al.NumericalError("singular draw")
+            return real.stream_index
+
+        vol = build_volume(1, radius=2)
+        out, redraws = _realizations(anderson_gaussian, vol, 4, 9, reduce)
+        assert draws == [(0, 0), (1, 0), (2, 0), (2, 1), (3, 0)]
+        assert out == [0, 1, 2, 3]
+        assert redraws == 1
+
+    def test_redraw_counted_in_estimator_metadata(self, anderson_gaussian, draws, monkeypatch):
+        column = estimators.green_column
+
+        def flaky(op, z, y):
+            if draws[-1] == (1, 0):
+                raise al.NumericalError("energy hit the spectrum")
+            return column(op, z, y)
+
+        monkeypatch.setattr(estimators, "green_column", flaky)
+        vol = build_volume(1, radius=2)
+        est = al.fractional_moment(anderson_gaussian, vol, 0.1j, 0, 1, 0.5, 3, master_seed=5)
+        assert est.metadata["redraws"] == 1
+        assert draws == [(0, 0), (1, 0), (1, 1), (2, 0)]
+
+    def test_exhausted_attempts_raise(self, anderson_gaussian, draws):
+        def reduce(real):
+            raise al.NumericalError("always singular")
+
+        vol = build_volume(1, radius=2)
+        with pytest.raises(al.NumericalError, match="still singular"):
+            _realizations(anderson_gaussian, vol, 3, 9, reduce)
+        assert draws == [(0, attempt) for attempt in range(_MAX_ATTEMPTS)]
+
+    def test_minami_psd_violation_is_not_redrawn(self, anderson_gaussian, draws, monkeypatch):
+        vol = build_volume(1, radius=3)
+        ix, iy = vol.index_of(0), vol.index_of(1)
+
+        def indefinite(a, b):
+            out = np.zeros(b.shape, dtype=complex)
+            out[ix] = [1j, 2j]
+            out[iy] = [2j, 1j]  # imaginary submatrix [[1, 2], [2, 1]] has det -3
+            return out
+
+        monkeypatch.setattr(np.linalg, "solve", indefinite)
+        with pytest.raises(al.NumericalError, match="positive semidefiniteness"):
+            al.minami_determinant(anderson_gaussian, vol, 0.1j, 0, 1, [10.0], 5, master_seed=3)
+        assert draws == [(0, 0)]

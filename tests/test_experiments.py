@@ -411,6 +411,43 @@ class TestSuite:
         assert suite(manifest) == 2
         assert "unknown suite keys" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "manifest",
+        [
+            [],
+            [{"schema_version": 1, "configs": ["im.json"]}],
+            {"schema_version": 1},
+            {"schema_version": 2, "configs": ["im.json"]},
+            {"schema_version": 1, "configs": 5},
+            {"schema_version": 1, "configs": "im.json"},
+            {"schema_version": 1, "configs": ["im.json", 3]},
+            {"schema_version": 1, "configs": ["im.json"], "name": 7},
+            {"schema_version": 1, "configs": ["im.json"], "out": ["results"]},
+        ],
+        ids=[
+            "empty-array", "array", "no-configs", "schema-2", "configs-int",
+            "configs-string", "config-entry-int", "name-int", "out-list",
+        ],
+    )
+    def test_malformed_manifest_exits_2_and_writes_nothing(self, tmp_path, capsys, manifest):
+        inverse_moment_config(tmp_path, "im.json")
+        path = write_config(tmp_path / "suite.json", manifest)
+        before = sorted(tmp_path.rglob("*"))
+        assert suite(path) == 2
+        assert "suite manifest error" in capsys.readouterr().err
+        assert sorted(tmp_path.rglob("*")) == before
+
+    @pytest.mark.parametrize("workers", ["two", "0", "-1"])
+    def test_bad_worker_count_exits_2_before_any_member(
+        self, tmp_path, capsys, monkeypatch, workers
+    ):
+        monkeypatch.setenv("ALLOYSIM_WORKERS", workers)
+        manifest = self.make_suite(tmp_path, [inverse_moment_config(tmp_path, "im.json")])
+        before = sorted(tmp_path.rglob("*"))
+        assert suite(manifest) == 2
+        assert "ALLOYSIM_WORKERS must be an integer >= 1" in capsys.readouterr().err
+        assert sorted(tmp_path.rglob("*")) == before
+
 
 class TestEmitPlotData:
     def test_collects_series_from_completed_runs(self, tmp_path, capsys):

@@ -55,6 +55,18 @@ class TestEmpiricalConcentration:
         assert np.all(np.diff(curve.values) > 0)
         assert curve.mode == "empirical"
 
+    def test_curve_matches_empirical_per_width(self, flagship_model):
+        eps_grid = [0.3, 0.7, 1.2]
+        curve = al.concentration_curve(
+            flagship_model, 0, eps_grid=eps_grid, n_samples=5_000, master_seed=8, a_step=0.05
+        )
+        for eps, value, stderr in zip(eps_grid, curve.values, curve.stderr):
+            est = al.concentration_empirical(
+                flagship_model, 0, eps=eps, n_samples=5_000, a_step=min(0.05, eps / 10),
+                master_seed=8,
+            )
+            assert value == est.value and stderr == est.stderr
+
     def test_curve_csv(self, flagship_model, tmp_path):
         curve = al.concentration_curve(
             flagship_model, 0, eps_grid=[0.5, 1.0], n_samples=2_000, master_seed=7
