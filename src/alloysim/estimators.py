@@ -4,9 +4,13 @@ Every estimator is a pure function of its arguments including
 ``(master_seed)``: realization ``r`` draws from stream ``r``, and retries
 after a rejected draw (real energy hitting the spectrum) bump only the
 attempt counter of that stream, so results are independent of evaluation
-order and reproducible bit for bit.  All estimators share one realization
-loop, and each realization is drawn once per call: every interval, disorder
-strength or offset of a sweep is evaluated on the same field.
+order and reproducible bit for bit.  All estimators draw through one
+per-stream routine, and each realization is drawn once per call: every
+interval, disorder strength or offset of a sweep is evaluated on the same
+field.  At a complex energy on a chain, ``fractional_moment``,
+``green_decay_profile`` and ``minami_determinant`` reduce blocks of fields
+with the batched tridiagonal kernel ``chain_green``; every other case solves
+or diagonalizes one assembled operator per realization.
 """
 
 from __future__ import annotations
@@ -19,7 +23,14 @@ import numpy as np
 
 from .errors import NumericalError, ValidationError
 from .field import sample_field
-from .lattice import FiniteVolume, _check_not_in_spectrum, assemble, green_column, spectrum
+from .lattice import (
+    FiniteVolume,
+    _check_not_in_spectrum,
+    assemble,
+    chain_green,
+    green_column,
+    spectrum,
+)
 from .measures import density_norms
 from .model import AlloyModel
 from .potential import convolution_inverse_norm, uniform_bound_constants, vanishing_order
@@ -59,33 +70,83 @@ class _InvariantViolation(NumericalError):
     """A per-draw invariant failed; fatal, never redrawn."""
 
 
+def _check_count(n_samples: int) -> None:
+    if n_samples < 1:
+        raise ValidationError(f"need at least one realization, got n_samples = {n_samples}")
+
+
+def _draw(model: AlloyModel, volume: FiniteVolume, master_seed: int, r: int, reduce):
+    """``reduce(field)`` of stream ``r`` and the number of redraws it took.
+
+    A ``NumericalError`` from the draw or its reduction redraws the stream
+    with ``attempt + 1``, up to ``_MAX_ATTEMPTS`` attempts.
+    """
+    for attempt in range(_MAX_ATTEMPTS):
+        try:
+            real = sample_field(model.potential, model.measure, volume, master_seed, r, attempt)
+            return reduce(real), attempt
+        except _InvariantViolation:
+            raise
+        except NumericalError:
+            pass
+    raise NumericalError(f"realization {r} still singular after {_MAX_ATTEMPTS} redraws")
+
+
 def _realizations(
     model: AlloyModel, volume: FiniteVolume, n_samples: int, master_seed: int, reduce
 ):
     """``reduce(field)`` for realizations ``0 .. n_samples-1``, in order.
 
-    Realization ``r`` draws from stream ``r``.  A ``NumericalError`` from the
-    draw or its reduction redraws that stream alone with ``attempt + 1``, up
-    to ``_MAX_ATTEMPTS`` attempts.  Returns the reductions and the number of
-    redraws.
+    Realization ``r`` draws from stream ``r`` (see ``_draw``).  Returns the
+    reductions and the number of redraws.
     """
+    _check_count(n_samples)
     out = []
     redraws = 0
     for r in range(n_samples):
-        for attempt in range(_MAX_ATTEMPTS):
-            try:
-                real = sample_field(model.potential, model.measure, volume, master_seed, r, attempt)
-                out.append(reduce(real))
-                break
-            except _InvariantViolation:
-                raise
-            except NumericalError:
-                redraws += 1
-        else:
-            raise NumericalError(
-                f"realization {r} still singular after {_MAX_ATTEMPTS} redraws"
-            )
+        value, k = _draw(model, volume, master_seed, r, reduce)
+        out.append(value)
+        redraws += k
     return out, redraws
+
+
+def _block_size(n: int) -> int:
+    """Realizations per block on ``n`` sites: the chain kernel's complex
+    ``(b, n)`` temporaries (about eight of them) stay within about 1 MB."""
+    return max(1, (1 << 20) // (8 * 16 * n))
+
+
+def _block_realizations(
+    model: AlloyModel, volume: FiniteVolume, n_samples: int, master_seed: int, reduce
+):
+    """``reduce(fields, first)`` over blocks of consecutive realizations.
+
+    ``fields`` holds the fields of realizations ``first .. first + b - 1`` as
+    rows, each drawn as in ``_realizations``; ``reduce`` returns one row per
+    realization and is not redrawn.  Returns the stacked rows and the number
+    of redraws.
+    """
+    _check_count(n_samples)
+    n = len(volume)
+    size = _block_size(n)
+    out = []
+    redraws = 0
+    for first in range(0, n_samples, size):
+        fields = np.empty((min(size, n_samples - first), n))
+        for i in range(len(fields)):
+            fields[i], k = _draw(model, volume, master_seed, first + i, lambda real: real.field)
+            redraws += k
+        out.append(reduce(fields, first))
+    return np.concatenate(out), redraws
+
+
+def _on_chain_kernel(volume: FiniteVolume, z: complex) -> bool:
+    """Whether the resolvent at ``z`` takes the batched chain kernel.
+
+    Off the real axis its pivots never vanish; at a real energy the scalar
+    path keeps the guard against hitting the spectrum.
+    """
+    return volume.is_chain and z.imag != 0
 
 
 def _counts(evals: np.ndarray, intervals) -> list[float]:
@@ -127,12 +188,17 @@ def fractional_moment(
         raise ValidationError("moment order s must lie in (0, 1)")
     ix, iy = _require_inside(volume, x, y)
     z = complex(z)
+    if _on_chain_kernel(volume, z):
 
-    def reduce(real):
-        col = green_column(assemble(real, model.lam), z, y)
-        return abs(col[ix]) ** s
+        def reduce(fields, first):
+            return np.abs(chain_green(model.lam * fields, z, [iy])[:, 0, ix]) ** s
 
-    values, redraws = _realizations(model, volume, n_samples, master_seed, reduce)
+        values, redraws = _block_realizations(model, volume, n_samples, master_seed, reduce)
+    else:
+        values, redraws = _realizations(
+            model, volume, n_samples, master_seed,
+            lambda real: abs(green_column(assemble(real, model.lam), z, y)[ix]) ** s,
+        )
     meta: dict = {
         "s": s,
         "z": [z.real, z.imag],
@@ -204,14 +270,20 @@ def green_decay_profile(
     dists = np.asarray([int(np.abs(t - base).sum()) for t in targets])
     z = complex(z)
 
-    def reduce(real):
-        row = green_column(assemble(real, model.lam), z, x)
-        return np.abs(row[cols]) ** s
+    if _on_chain_kernel(volume, z):
 
-    rows, _ = _realizations(model, volume, n_samples, master_seed, reduce)
-    data = np.asarray(rows)
+        def reduce(fields, first):
+            return np.abs(chain_green(model.lam * fields, z, [ix])[:, 0, cols]) ** s
+
+        data, redraws = _block_realizations(model, volume, n_samples, master_seed, reduce)
+    else:
+        rows, redraws = _realizations(
+            model, volume, n_samples, master_seed,
+            lambda real: np.abs(green_column(assemble(real, model.lam), z, x)[cols]) ** s,
+        )
+        data = np.asarray(rows)
     estimates = [
-        _mean_estimate(data[:, j], master_seed, {"distance": int(dists[j])})
+        _mean_estimate(data[:, j], master_seed, {"distance": int(dists[j]), "redraws": redraws})
         for j in range(data.shape[1])
     ]
     keep = np.array([est.value > 2 * est.stderr for est in estimates])
@@ -254,7 +326,7 @@ def wegner_count(
     for a, b in intervals:
         if not b > a:
             raise ValidationError("interval must be nondegenerate")
-    rows, _ = _realizations(
+    rows, redraws = _realizations(
         model, volume, n_samples, master_seed,
         lambda real: _counts(spectrum(assemble(real, model.lam)), intervals),
     )
@@ -266,7 +338,9 @@ def wegner_count(
         pieces = {"bound_note": str(exc)}
     out = []
     for (a, b), counts in zip(intervals, np.asarray(rows).T.copy()):
-        meta: dict = {"interval": [a, b], "volume_points": len(volume), **pieces}
+        meta: dict = {
+            "interval": [a, b], "volume_points": len(volume), "redraws": redraws, **pieces
+        }
         if "bound_note" not in meta and volume.kind == "box" and model.lam > 0 and math.isfinite(tv):
             scale = (
                 (1.0 / model.lam)
@@ -299,15 +373,20 @@ def minami_determinant(
     lams: Sequence[float],
     n_samples: int,
     master_seed: int,
+    lam_samples: Optional[Sequence[int]] = None,
 ) -> list[Estimate]:
     """Mean determinant of the 2x2 imaginary Green submatrix at (x, y), one
     estimate per disorder strength in ``lams``, all solved on the same fields.
 
-    For ``Im z > 0`` the imaginary part of the resolvent is positive
-    semidefinite, so each per-draw determinant must be non-negative; a value
-    below -1e-10 raises immediately, without a redraw, instead of polluting
-    the mean.  Metadata carries the closed-form bound ``(pi / lam)**2`` times
-    the two-eigenvalue constant when the model provides it.
+    Realizations ``0 .. n_samples-1`` are drawn once each; the estimate at
+    ``lams[j]`` averages the first ``lam_samples[j]`` of them (all of them
+    when ``lam_samples`` is not given).  For ``Im z > 0`` the
+    imaginary part of the resolvent is positive semidefinite, so each
+    per-draw determinant must be non-negative; a value below -1e-10 raises
+    at the first offending realization, without a redraw, instead of
+    polluting the mean.  Metadata carries the closed-form bound
+    ``(pi / lam)**2`` times the two-eigenvalue constant when the model
+    provides it.
     """
     z = complex(z)
     if z.imag <= 0:
@@ -315,37 +394,63 @@ def minami_determinant(
     ix, iy = _require_inside(volume, x, y)
     if ix == iy:
         raise ValidationError("need two distinct points")
-    rhs = np.zeros((len(volume), 2), dtype=complex)
-    rhs[ix, 0] = 1.0
-    rhs[iy, 1] = 1.0
+    counts = [n_samples] * len(lams) if lam_samples is None else list(lam_samples)
+    if len(counts) != len(lams) or not all(1 <= m <= n_samples for m in counts):
+        raise ValidationError("need one sample count in [1, n_samples] per disorder strength")
+    pair = [ix, iy]
 
-    def reduce(real):
-        dets = []
-        for lam in lams:
-            op = assemble(real, lam)
-            shifted = op.matrix.astype(complex)
-            np.fill_diagonal(shifted, op.diagonal - z)
-            im = np.linalg.solve(shifted, rhs)[[ix, iy]].imag
-            det = im[0, 0] * im[1, 1] - im[0, 1] * im[1, 0]
-            if det < -1e-10:
-                raise _InvariantViolation(
-                    f"imaginary Green submatrix lost positive semidefiniteness: det = {det!r}"
-                )
-            dets.append(det)
+    def check_psd(dets, first):
+        # rows are realizations from ``first`` on; unused entries are nan
+        bad = np.argwhere(dets < -1e-10)
+        if len(bad):
+            i, j = bad[0]
+            raise _InvariantViolation(
+                f"imaginary Green submatrix lost positive semidefiniteness at realization "
+                f"{first + i}: det = {dets[i, j]!r}"
+            )
         return dets
 
-    rows, _ = _realizations(model, volume, n_samples, master_seed, reduce)
+    if _on_chain_kernel(volume, z):
+
+        def reduce_block(fields, first):
+            dets = np.full((len(fields), len(lams)), np.nan)
+            for j, (lam, m) in enumerate(zip(lams, counts)):
+                if m > first:
+                    im = chain_green(lam * fields[: m - first], z, pair)[:, :, pair].imag
+                    dets[: len(im), j] = im[:, 0, 0] * im[:, 1, 1] - im[:, 0, 1] * im[:, 1, 0]
+            return check_psd(dets, first)
+
+        rows, redraws = _block_realizations(model, volume, n_samples, master_seed, reduce_block)
+    else:
+        rhs = np.zeros((len(volume), 2), dtype=complex)
+        rhs[ix, 0] = 1.0
+        rhs[iy, 1] = 1.0
+
+        def reduce(real):
+            dets = np.full(len(lams), np.nan)
+            for j, (lam, m) in enumerate(zip(lams, counts)):
+                if real.stream_index < m:
+                    op = assemble(real, lam)
+                    shifted = op.matrix.astype(complex)
+                    np.fill_diagonal(shifted, op.diagonal - z)
+                    im = np.linalg.solve(shifted, rhs)[pair].imag
+                    dets[j] = im[0, 0] * im[1, 1] - im[0, 1] * im[1, 0]
+            return check_psd(dets[None], real.stream_index)[0]
+
+        rows, redraws = _realizations(model, volume, n_samples, master_seed, reduce)
     try:
         cmin, note = minami_bound_constant(model), None
     except (ValidationError, NumericalError) as exc:
         cmin, note = None, str(exc)
     out = []
-    for lam, vals in zip(lams, np.asarray(rows).T.copy()):
+    for lam, m, vals in zip(lams, counts, np.asarray(rows).T.copy()):
+        vals = vals[:m]
         meta: dict = {
             "z": [z.real, z.imag],
             "x": list(np.atleast_1d(x)),
             "y": list(np.atleast_1d(y)),
             "min_det": float(vals.min()),
+            "redraws": redraws,
         }
         if lam > 0 and cmin is not None:
             meta["bound"] = (math.pi / lam) ** 2 * cmin
@@ -385,9 +490,9 @@ def two_level_probability(
         (k,) = _counts(spectrum(assemble(real, model.lam)), [(a, b)])
         return 1.0 if k >= 2 else 0.0, 0.5 * k * (k - 1)
 
-    rows, _ = _realizations(model, volume, n_samples, master_seed, reduce)
+    rows, redraws = _realizations(model, volume, n_samples, master_seed, reduce)
     indicator, half = np.asarray(rows).T.copy()
-    meta = {"interval": [a, b], "volume_points": len(volume)}
+    meta = {"interval": [a, b], "volume_points": len(volume), "redraws": redraws}
     bound = None
     note = None
     try:

@@ -593,20 +593,20 @@ def _run_minami(cfg: ExperimentConfig, outdir: Path):
     p = cfg.params
     vol = _volume(cfg)
     z = complex(*p["z"])
-    (est,) = minami_determinant(
-        cfg.model, vol, z, p["x"], p["y"], [cfg.model.lam], p["n_samples"], cfg.seed
+    # the main estimate and the lams sweep share one draw of each field
+    lams = p.get("lams", [])
+    counts = [p["n_samples"]] + [p.get("scaling_samples", p["n_samples"])] * len(lams)
+    est, *scaled = minami_determinant(
+        cfg.model, vol, z, p["x"], p["y"], [cfg.model.lam, *lams], max(counts), cfg.seed,
+        lam_samples=counts,
     )
     rec = est.to_record("minami_determinant", cfg.config_hash)
     bound = est.metadata.get("bound")
     ok = est.value <= bound + 3 * est.stderr if bound is not None else None
-    if "lams" in p:
-        scaled = minami_determinant(
-            cfg.model, vol, z, p["x"], p["y"], p["lams"],
-            p.get("scaling_samples", p["n_samples"]), cfg.seed,
-        )
+    if lams:
         lam_rows = [
             {"lam": lam, "value": est.value, "stderr": est.stderr}
-            for lam, est in zip(p["lams"], scaled)
+            for lam, est in zip(lams, scaled)
         ]
         slope = float(
             np.polyfit(

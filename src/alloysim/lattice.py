@@ -30,6 +30,7 @@ __all__ = [
     "spectrum",
     "green",
     "green_column",
+    "chain_green",
     "resolvent_identity_residual",
     "operator_to_csv",
     "eigenvalues_to_csv",
@@ -234,6 +235,41 @@ def green_column(op: FiniteVolumeOperator, z: complex, y) -> np.ndarray:
     shifted = op.matrix.astype(complex)
     shifted[np.arange(op.size), np.arange(op.size)] -= z
     return np.linalg.solve(shifted, rhs)
+
+
+def chain_green(diagonals: np.ndarray, z: complex, sites: Sequence[int]) -> np.ndarray:
+    """Resolvent rows ``G(z; k, .)``, ``k`` in ``sites``, of a block of chains.
+
+    Row ``i`` of ``diagonals`` (shape ``(b, n)``) is the diagonal
+    ``lam * field`` of one operator on an ``n``-site chain, whose hopping is
+    -1 between consecutive sites.  Returns shape ``(b, len(sites), n)``.
+
+    Eliminating from either end gives the pivots ``d_k = a_k - 1 / d_{k-1}``
+    with ``a_k = diagonal_k - z``; ``Im d_k`` and ``-Im z`` share their sign
+    and ``|Im d_k| >= |Im z|``, so for ``Im z != 0`` no pivot vanishes and
+    none needs row exchanges.  ``G(k, k) = 1 / (a_k - 1/dl_{k-1} - 1/dr_{k+1})``
+    and each row decays from its diagonal by the reciprocal pivots.
+    """
+    z = complex(z)
+    if z.imag == 0:
+        raise ValidationError("the chain kernel needs Im z != 0")
+    a = np.asarray(diagonals, dtype=float).T - z  # (n, b): one site per row
+    n = len(a)
+    # inv_left[k + 1] = 1 / dl_k from the left, inv_right[k] = 1 / dr_k from the
+    # right; the zero rows at either end stand for the missing neighbour
+    inv_left = np.zeros((n + 1, a.shape[1]), dtype=complex)
+    inv_right = np.zeros_like(inv_left)
+    for k in range(n):
+        inv_left[k + 1] = 1.0 / (a[k] - inv_left[k])
+    for k in range(n - 1, -1, -1):
+        inv_right[k] = 1.0 / (a[k] - inv_right[k + 1])
+    rows = np.empty((len(sites), n, a.shape[1]), dtype=complex)
+    for i, j in enumerate(sites):
+        g = 1.0 / (a[j] - inv_left[j] - inv_right[j + 1])
+        rows[i, j] = g
+        rows[i, :j] = g * np.cumprod(inv_left[j:0:-1], axis=0)[::-1]
+        rows[i, j + 1:] = g * np.cumprod(inv_right[j + 1:n], axis=0)
+    return rows.transpose(2, 0, 1)
 
 
 def green(op: FiniteVolumeOperator, z: complex, x, y) -> complex:

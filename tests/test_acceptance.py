@@ -156,15 +156,15 @@ def test_criterion_05_recursion_identity(flagship_model):
 def test_criterion_06_minami(anderson_gaussian):
     vol = al.build_volume(1, 10)
     z = complex(0.0, 0.05)
-    (est,) = al.minami_determinant(
-        anderson_gaussian, vol, z, [0], [1], [anderson_gaussian.lam], 10_000, 2106
+    lams = (5.0, 10.0, 20.0, 40.0)
+    # the estimate at the model's lam averages the first 10k of the same draws
+    est, *scaled = al.minami_determinant(
+        anderson_gaussian, vol, z, [0], [1], [anderson_gaussian.lam, *lams], 100_000, 2106,
+        lam_samples=[10_000] + [100_000] * len(lams),
     )
     bound = est.metadata["bound"]
     bound_ok = est.value <= bound + 3 * est.stderr
     psd_ok = est.metadata["min_det"] >= -1e-10
-
-    lams = (5.0, 10.0, 20.0, 40.0)
-    scaled = al.minami_determinant(anderson_gaussian, vol, z, [0], [1], lams, 100_000, 2106)
     values = [est.value for est in scaled]
     slope = float(np.polyfit(np.log(lams), np.log(values), 1)[0])
     check(

@@ -7,7 +7,7 @@ from scipy import integrate
 
 import alloysim as al
 from alloysim import AlloyModel, build_single_site, build_volume, estimators
-from alloysim.estimators import _MAX_ATTEMPTS, _realizations
+from alloysim.estimators import _MAX_ATTEMPTS, _block_size, _realizations
 
 
 @pytest.fixture
@@ -303,6 +303,20 @@ class TestSmallnessProbability:
             al.fvc_probability(anderson_gaussian, vol, 0.3, 3.0, 10, 0)
 
 
+@pytest.fixture
+def draws(monkeypatch):
+    """(stream, attempt) of every field the estimators draw."""
+    calls = []
+    sample = estimators.sample_field
+
+    def spy(*args):
+        calls.append(args[4:6])
+        return sample(*args)
+
+    monkeypatch.setattr(estimators, "sample_field", spy)
+    return calls
+
+
 def _field(model, vol, seed, r):
     return al.sample_field(model.potential, model.measure, vol, seed, r)
 
@@ -312,7 +326,8 @@ def _mean_and_stderr(values):
 
 
 class TestSweepOracles:
-    """Shared-draw sweeps equal per-entry scalar loops exactly."""
+    """Shared-draw sweeps equal per-entry scalar loops (exactly where the
+    arithmetic is the same; the chain kernel's Minami dets to 1e-12)."""
 
     def test_wegner_intervals_match_per_interval_counts(self, anderson_gaussian):
         vol = build_volume(1, radius=5)
@@ -342,25 +357,117 @@ class TestSweepOracles:
                 op = al.assemble(_field(model, vol, 72, r), model.lam)
                 im = np.linalg.solve(op.matrix - z * np.eye(len(vol)), rhs)[[ix, iy]].imag
                 dets[r] = im[0, 0] * im[1, 1] - im[0, 1] * im[1, 0]
-            assert (est.value, est.stderr) == _mean_and_stderr(dets)
-            assert est.metadata["min_det"] == dets.min()
+            assert (est.value, est.stderr) == pytest.approx(_mean_and_stderr(dets), rel=1e-12)
+            assert est.metadata["min_det"] == pytest.approx(dets.min(), rel=1e-12)
             assert est.metadata["bound"] == (math.pi / lam) ** 2 * al.minami_bound_constant(model)
+
+    @pytest.mark.parametrize("dimension", [1, 2])
+    def test_minami_lam_samples_use_stream_prefixes(self, anderson_gaussian, dimension, draws):
+        vol = build_volume(dimension, radius=4 if dimension == 1 else 1)
+        x, y = [0] * dimension, [1] + [0] * (dimension - 1)
+        lams = [5.0, 10.0, 20.0]
+        shared = al.minami_determinant(
+            anderson_gaussian, vol, 0.05j, x, y, lams, 30, master_seed=73, lam_samples=[30, 7, 19]
+        )
+        assert draws == [(r, 0) for r in range(30)]
+        for lam, m, est in zip(lams, [30, 7, 19], shared):
+            (alone,) = al.minami_determinant(anderson_gaussian, vol, 0.05j, x, y, [lam], m, 73)
+            assert est.n_samples == m
+            assert (est.value, est.stderr) == pytest.approx((alone.value, alone.stderr), rel=1e-12)
+            assert est.metadata["min_det"] == pytest.approx(alone.metadata["min_det"], rel=1e-12)
+
+    @pytest.mark.parametrize("lam_samples", [[5, 0], [5, 31], [5]])
+    def test_minami_lam_samples_checked(self, anderson_gaussian, lam_samples):
+        vol = build_volume(1, radius=2)
+        with pytest.raises(al.ValidationError, match="sample count"):
+            al.minami_determinant(
+                anderson_gaussian, vol, 0.1j, 0, 1, [5.0, 10.0], 30, 0, lam_samples=lam_samples
+            )
+
+
+class TestChainKernelRouting:
+    """Complex-energy chain estimators take the batched kernel; the scalar
+    row-by-row path, still used off the chain, is their oracle."""
+
+    @pytest.fixture
+    def scalar(self, monkeypatch):
+        def run(fn, *args, **kwargs):
+            with monkeypatch.context() as m:
+                m.setattr(estimators, "_on_chain_kernel", lambda volume, z: False)
+                return fn(*args, **kwargs)
+
+        return run
+
+    @staticmethod
+    def _sample_counts(vol):
+        size = _block_size(len(vol))
+        counts = [2 * size + 7, 5]
+        assert counts[0] % size and counts[1] < size
+        return counts
+
+    def test_fractional_moment(self, two_tap, cosine01, scalar):
+        model = AlloyModel(potential=two_tap, measure=cosine01, lam=10.0)
+        vol = build_volume(1, radius=8)
+        for n in self._sample_counts(vol):
+            for z, x, y in [(10.0 + 0.01j, 0, 0), (0.3 - 0.1j, -8, 8)]:
+                args = (model, vol, z, x, y, 0.5, n, 11)
+                fast, slow = al.fractional_moment(*args), scalar(al.fractional_moment, *args)
+                assert (fast.value, fast.stderr) == pytest.approx(
+                    (slow.value, slow.stderr), rel=1e-12
+                )
+                assert fast.metadata == slow.metadata
+
+    def test_decay_profile(self, two_tap, uniform01, scalar):
+        model = AlloyModel(potential=two_tap, measure=uniform01, lam=20.0)
+        vol = build_volume(1, radius=12)
+        offsets = [[k] for k in range(-2, 11)]
+        for n in self._sample_counts(vol):
+            args = (model, vol, 20.0 + 0.01j, 0, offsets, 0.1, n, 13)
+            fast, slow = al.green_decay_profile(*args), scalar(al.green_decay_profile, *args)
+            for a, b in zip(fast.estimates, slow.estimates):
+                assert (a.value, a.stderr) == pytest.approx((b.value, b.stderr), rel=1e-12)
+                assert a.metadata == b.metadata
+            assert fast.rate == pytest.approx(slow.rate, rel=1e-12)
+            assert fast.dropped == slow.dropped
+
+    def test_minami_determinant(self, anderson_gaussian, scalar):
+        vol = build_volume(1, radius=10)
+        lams = [10.0, 5.0, 40.0]
+        for n in self._sample_counts(vol):
+            args = (anderson_gaussian, vol, 0.05j, 0, 1, lams, n, 107)
+            counts = [n, max(1, n // 3), n - 1]
+            fast = al.minami_determinant(*args, lam_samples=counts)
+            slow = scalar(al.minami_determinant, *args, lam_samples=counts)
+            for a, b in zip(fast, slow):
+                assert (a.value, a.stderr) == pytest.approx((b.value, b.stderr), rel=1e-12)
+                assert a.metadata["min_det"] == pytest.approx(b.metadata["min_det"], rel=1e-12)
+                assert a.n_samples == b.n_samples
+
+    def test_complex_chain_takes_kernel(self, anderson_gaussian, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a dense solve ran")
+
+        monkeypatch.setattr(estimators, "green_column", refuse)
+        monkeypatch.setattr(np.linalg, "solve", refuse)
+        chain = build_volume(1, radius=3)
+        al.fractional_moment(anderson_gaussian, chain, 0.3j, 0, 1, 0.5, 5, 0)
+        al.minami_determinant(anderson_gaussian, chain, 0.3j, 0, 1, [10.0], 5, 0)
+        al.green_decay_profile(anderson_gaussian, chain, -0.3j, 0, [[0], [1], [2]], 0.5, 5, 0)
+
+    def test_real_energy_and_2d_stay_scalar(self, anderson_gaussian, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the chain kernel ran")
+
+        monkeypatch.setattr(estimators, "chain_green", refuse)
+        chain, box = build_volume(1, radius=3), build_volume(2, radius=1)
+        al.fractional_moment(anderson_gaussian, chain, 0.3, 0, 1, 0.5, 5, 0)
+        al.fractional_moment(anderson_gaussian, box, 0.3j, [0, 0], [0, 1], 0.5, 5, 0)
+        al.minami_determinant(anderson_gaussian, box, 0.3j, [0, 0], [0, 1], [10.0], 5, 0)
+        offsets = [[0, 0], [0, 1], [1, 1]]
+        al.green_decay_profile(anderson_gaussian, box, 0.3j, [0, 0], offsets, 0.5, 5, 0)
 
 
 class TestRealizationLoop:
-    @pytest.fixture
-    def draws(self, monkeypatch):
-        """(stream, attempt) of every field the estimators draw."""
-        calls = []
-        sample = estimators.sample_field
-
-        def spy(*args):
-            calls.append(args[4:6])
-            return sample(*args)
-
-        monkeypatch.setattr(estimators, "sample_field", spy)
-        return calls
-
     def test_error_redraws_only_that_stream(self, anderson_gaussian, draws):
         def reduce(real):
             if draws[-1] == (2, 0):
@@ -383,9 +490,41 @@ class TestRealizationLoop:
 
         monkeypatch.setattr(estimators, "green_column", flaky)
         vol = build_volume(1, radius=2)
-        est = al.fractional_moment(anderson_gaussian, vol, 0.1j, 0, 1, 0.5, 3, master_seed=5)
+        # a real energy keeps the row-by-row path, whose reduction can redraw
+        est = al.fractional_moment(anderson_gaussian, vol, 0.1, 0, 1, 0.5, 3, master_seed=5)
         assert est.metadata["redraws"] == 1
         assert draws == [(0, 0), (1, 0), (1, 1), (2, 0)]
+
+    @pytest.mark.parametrize("estimate", [
+        lambda m, v: [al.fractional_moment(m, v, 0.1j, 0, 1, 0.5, 3, 5)],
+        lambda m, v: al.green_decay_profile(m, v, 0.1j, 0, [[0], [1], [2]], 0.5, 3, 5).estimates,
+        lambda m, v: al.minami_determinant(m, v, 0.1j, 0, 1, [5.0, 10.0], 3, 5),
+        lambda m, v: al.wegner_count(m, v, [(-1.0, 1.0), (0.0, 2.0)], 3, 5),
+        lambda m, v: (lambda r: [r.p_two, r.half_moment])(
+            al.two_level_probability(m, v, (-1.0, 1.0), 3, 5)),
+    ], ids=["fractional-moment", "decay", "minami", "wegner", "two-level"])
+    def test_failed_draw_redrawn_and_reported(self, anderson_gaussian, draws, monkeypatch,
+                                              estimate):
+        spy = estimators.sample_field
+
+        def flaky(*args):
+            real = spy(*args)
+            if draws[-1] == (1, 0):
+                raise al.NumericalError("rejected draw")
+            return real
+
+        monkeypatch.setattr(estimators, "sample_field", flaky)
+        for est in estimate(anderson_gaussian, build_volume(1, radius=2)):
+            assert est.metadata["redraws"] == 1
+        assert draws == [(0, 0), (1, 0), (1, 1), (2, 0)]
+
+    @pytest.mark.parametrize("z", [0.1j, 0.1])
+    def test_no_realizations_rejected(self, anderson_gaussian, z):
+        vol = build_volume(1, radius=2)
+        with pytest.raises(al.ValidationError, match="at least one realization"):
+            al.fractional_moment(anderson_gaussian, vol, z, 0, 1, 0.5, 0, 0)
+        with pytest.raises(al.ValidationError, match="at least one realization"):
+            al.wegner_count(anderson_gaussian, vol, [(-1.0, 1.0)], 0, 0)
 
     def test_exhausted_attempts_raise(self, anderson_gaussian, draws):
         def reduce(real):
@@ -397,8 +536,9 @@ class TestRealizationLoop:
         assert draws == [(0, attempt) for attempt in range(_MAX_ATTEMPTS)]
 
     def test_minami_psd_violation_is_not_redrawn(self, anderson_gaussian, draws, monkeypatch):
-        vol = build_volume(1, radius=3)
-        ix, iy = vol.index_of(0), vol.index_of(1)
+        # a 2-d box keeps the row-by-row dense solve
+        vol = build_volume(2, radius=1)
+        ix, iy = vol.index_of([0, 0]), vol.index_of([0, 1])
 
         def indefinite(a, b):
             out = np.zeros(b.shape, dtype=complex)
@@ -408,5 +548,25 @@ class TestRealizationLoop:
 
         monkeypatch.setattr(np.linalg, "solve", indefinite)
         with pytest.raises(al.NumericalError, match="positive semidefiniteness"):
-            al.minami_determinant(anderson_gaussian, vol, 0.1j, 0, 1, [10.0], 5, master_seed=3)
+            al.minami_determinant(
+                anderson_gaussian, vol, 0.1j, [0, 0], [0, 1], [10.0], 5, master_seed=3
+            )
         assert draws == [(0, 0)]
+
+    def test_minami_psd_violation_in_a_block(self, anderson_gaussian, draws, monkeypatch):
+        vol = build_volume(1, radius=3)
+        ix, iy = vol.index_of(0), vol.index_of(1)
+        kernel = estimators.chain_green
+
+        def indefinite_rows(diags, z, sites):
+            rows = kernel(diags, z, sites)
+            # imaginary submatrices [[1, 2], [2, 1]] (det -3) and [[1, 3], [3, 1]] (det -8)
+            for r, off in [(2, 2j), (4, 3j)]:
+                rows[r][:, [ix, iy]] = [[1j, off], [off, 1j]]
+            return rows
+
+        monkeypatch.setattr(estimators, "chain_green", indefinite_rows)
+        with pytest.raises(al.NumericalError, match=r"at realization 2: det = .*-3\.0"):
+            al.minami_determinant(anderson_gaussian, vol, 0.1j, 0, 1, [10.0], 5, master_seed=3)
+        # the block is drawn whole, and nothing is redrawn
+        assert draws == [(r, 0) for r in range(5)]

@@ -163,6 +163,27 @@ class TestGreen:
         assert g.imag > 0
 
 
+class TestChainGreen:
+    """The batched tridiagonal kernel against dense solves of assembled chains."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 21, 33])
+    @pytest.mark.parametrize("z", [0.3 + 0.05j, 0.3 - 0.05j, 10.0 + 0.01j])
+    def test_rows_match_dense_columns(self, rng, n, z):
+        diags = 10.0 * rng.normal(size=(4, n))
+        sites = sorted({0, n - 1, n // 2})
+        rows = al.chain_green(diags, z, sites)
+        assert rows.shape == (4, len(sites), n)
+        for b, diag in enumerate(diags):
+            op = diag_operator(diag)
+            for i, site in enumerate(sites):
+                dense = green_column(op, z, [site])
+                np.testing.assert_allclose(rows[b, i], dense, rtol=1e-12, atol=0)
+
+    def test_real_energy_rejected(self):
+        with pytest.raises(al.ValidationError):
+            al.chain_green(np.zeros((1, 3)), 0.5, [0])
+
+
 class TestResolventIdentity:
     def test_residual_tiny(self, rng):
         op = diag_operator(rng.normal(size=14))
