@@ -50,6 +50,9 @@ class FiniteVolume:
             raise ValidationError("volume points must be distinct")
         self._pairs: Optional[np.ndarray] = None
         self._layouts: dict = {}
+        # True for one-dimensional volumes with contiguous sites; ``points``
+        # is never reassigned, so it is decided once here.
+        self.is_chain = dimension == 1 and bool(np.all(np.diff(points[:, 0]) == 1))
 
     def __len__(self) -> int:
         return len(self.points)
@@ -61,14 +64,6 @@ class FiniteVolume:
 
     def __contains__(self, point) -> bool:
         return self.index_of(point) >= 0
-
-    @property
-    def is_chain(self) -> bool:
-        """True for one-dimensional volumes with contiguous sites."""
-        if self.dimension != 1:
-            return False
-        ks = self.points[:, 0]
-        return bool(np.all(np.diff(ks) == 1))
 
     def neighbor_pairs(self) -> np.ndarray:
         """Index pairs (i, j), i < j, of l1-adjacent points."""
@@ -91,8 +86,9 @@ class FiniteVolume:
         sorted union over support offsets ``theta`` of ``x - theta`` and the
         field is ``sum_j u_j * couplings[gather[j]]``.  Cached per profile.
         """
-        if u in self._layouts:
-            return self._layouts[u]
+        layout = self._layouts.get(u)
+        if layout is not None:
+            return layout
         offsets = np.asarray(u.points, dtype=int)
         coupling_set = set()
         for theta in offsets:
@@ -103,8 +99,8 @@ class FiniteVolume:
         for j, theta in enumerate(offsets):
             shifted = self.points - theta
             gather[j] = [cindex[tuple(p)] for p in shifted]
-        self._layouts[u] = (coupling_points, gather)
-        return self._layouts[u]
+        layout = self._layouts[u] = (coupling_points, gather)
+        return layout
 
 
 def build_volume(
