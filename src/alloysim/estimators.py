@@ -7,10 +7,11 @@ attempt counter of that stream, so results are independent of evaluation
 order and reproducible bit for bit.  All estimators draw through one
 per-stream routine, and each realization is drawn once per call: every
 interval, disorder strength or offset of a sweep is evaluated on the same
-field.  At a complex energy on a chain, ``fractional_moment``,
-``green_decay_profile`` and ``minami_determinant`` reduce blocks of fields
-with the batched tridiagonal kernel ``chain_green``; every other case solves
-or diagonalizes one assembled operator per realization.
+field.  ``fractional_moment``, ``green_decay_profile`` and
+``minami_determinant`` read resolvent entries through ``_green_rows``, the one
+routine that picks the path: the batched tridiagonal kernel ``chain_green``
+for a complex energy on a chain, one dense solve per realization otherwise
+(d >= 2, non-chain volumes, real energies).
 """
 
 from __future__ import annotations
@@ -92,52 +93,34 @@ def _draw(model: AlloyModel, volume: FiniteVolume, master_seed: int, r: int, red
     raise NumericalError(f"realization {r} still singular after {_MAX_ATTEMPTS} redraws")
 
 
-def _realizations(
-    model: AlloyModel, volume: FiniteVolume, n_samples: int, master_seed: int, reduce
-):
-    """``reduce(field)`` for realizations ``0 .. n_samples-1``, in order.
-
-    Realization ``r`` draws from stream ``r`` (see ``_draw``).  Returns the
-    reductions and the number of redraws.
-    """
-    _check_count(n_samples)
-    out = []
-    redraws = 0
-    for r in range(n_samples):
-        value, k = _draw(model, volume, master_seed, r, reduce)
-        out.append(value)
-        redraws += k
-    return out, redraws
-
-
 def _block_size(n: int) -> int:
     """Realizations per block on ``n`` sites: the chain kernel's complex
     ``(b, n)`` temporaries (about eight of them) stay within about 1 MB."""
     return max(1, (1 << 20) // (8 * 16 * n))
 
 
-def _block_realizations(
-    model: AlloyModel, volume: FiniteVolume, n_samples: int, master_seed: int, reduce
+def _realizations(
+    model: AlloyModel, volume: FiniteVolume, n_samples: int, master_seed: int, row, block=None
 ):
-    """``reduce(fields, first)`` over blocks of consecutive realizations.
+    """``row(real)`` for the realizations ``0 .. n_samples-1``, in order, and
+    the number of redraws.
 
-    ``fields`` holds the fields of realizations ``first .. first + b - 1`` as
-    rows, each drawn as in ``_realizations``; ``reduce`` returns one row per
-    realization and is not redrawn.  Returns the stacked rows and the number
-    of redraws.
+    Realization ``r`` draws from stream ``r`` (see ``_draw``).  With
+    ``block``, the rows of ``_block_size(n)`` consecutive realizations from
+    ``first`` on are stacked and ``block(rows, first)`` reduces them, without
+    a redraw; the reductions are concatenated.
     """
     _check_count(n_samples)
-    n = len(volume)
-    size = _block_size(n)
-    out = []
-    redraws = 0
+    size = _block_size(len(volume)) if block else n_samples
+    out, redraws = [], 0
     for first in range(0, n_samples, size):
-        fields = np.empty((min(size, n_samples - first), n))
-        for i in range(len(fields)):
-            fields[i], k = _draw(model, volume, master_seed, first + i, lambda real: real.field)
+        rows = []
+        for r in range(first, min(first + size, n_samples)):
+            value, k = _draw(model, volume, master_seed, r, row)
+            rows.append(value)
             redraws += k
-        out.append(reduce(fields, first))
-    return np.concatenate(out), redraws
+        out.append(block(np.asarray(rows), first) if block else rows)
+    return (np.concatenate(out) if block else out[0]), redraws
 
 
 def _on_chain_kernel(volume: FiniteVolume, z: complex) -> bool:
@@ -147,6 +130,47 @@ def _on_chain_kernel(volume: FiniteVolume, z: complex) -> bool:
     path keeps the guard against hitting the spectrum.
     """
     return volume.is_chain and z.imag != 0
+
+
+def _green_rows(
+    model: AlloyModel, volume: FiniteVolume, z: complex, sites, cols, lams, counts,
+    n_samples: int, master_seed: int, reduce,
+):
+    """``reduce(g, first)`` over blocks of realizations, concatenated, and the
+    number of redraws.
+
+    ``g[i, j, k, c] = G(z; sites[k], cols[c])`` for realization ``first + i``
+    at ``lams[j]``, filled while ``first + i < counts[j]`` and nan after.  A
+    complex ``z`` on a chain takes the batched kernel over blocks of fields;
+    otherwise each realization is solved densely and reduced as a one-row
+    block inside its draw, so that a real energy hitting the spectrum redraws
+    only that stream.  ``reduce`` itself is never redrawn.
+    """
+    shape = (len(lams), len(sites), len(cols))
+    nan = complex(np.nan, np.nan)
+    if _on_chain_kernel(volume, z):
+
+        def block(fields, first):
+            g = np.full((len(fields), *shape), nan)
+            for j, (lam, m) in enumerate(zip(lams, counts)):
+                if m > first:
+                    rows = chain_green(lam * fields[: m - first], z, sites)
+                    g[: m - first, j] = rows[:, :, cols]
+            return reduce(g, first)
+
+        return _realizations(model, volume, n_samples, master_seed, lambda real: real.field, block)
+
+    def row(real):
+        g = np.full((1, *shape), nan)
+        for j, (lam, m) in enumerate(zip(lams, counts)):
+            if real.stream_index < m:
+                op = assemble(real, lam)
+                for k, site in enumerate(sites):
+                    g[0, j, k] = green_column(op, z, volume.points[site])[cols]
+        return reduce(g, real.stream_index)[0]
+
+    rows, redraws = _realizations(model, volume, n_samples, master_seed, row)
+    return np.asarray(rows), redraws
 
 
 def _counts(evals: np.ndarray, intervals) -> list[float]:
@@ -188,17 +212,10 @@ def fractional_moment(
         raise ValidationError("moment order s must lie in (0, 1)")
     ix, iy = _require_inside(volume, x, y)
     z = complex(z)
-    if _on_chain_kernel(volume, z):
-
-        def reduce(fields, first):
-            return np.abs(chain_green(model.lam * fields, z, [iy])[:, 0, ix]) ** s
-
-        values, redraws = _block_realizations(model, volume, n_samples, master_seed, reduce)
-    else:
-        values, redraws = _realizations(
-            model, volume, n_samples, master_seed,
-            lambda real: abs(green_column(assemble(real, model.lam), z, y)[ix]) ** s,
-        )
+    values, redraws = _green_rows(
+        model, volume, z, [iy], [ix], [model.lam], [n_samples], n_samples, master_seed,
+        lambda g, first: np.abs(g[:, 0, 0, 0]) ** s,
+    )
     meta: dict = {
         "s": s,
         "z": [z.real, z.imag],
@@ -219,7 +236,7 @@ def fractional_moment(
     except (ValidationError, NumericalError) as exc:
         meta["bound"] = None
         meta["bound_note"] = str(exc)
-    return _mean_estimate(np.asarray(values), master_seed, meta)
+    return _mean_estimate(values, master_seed, meta)
 
 
 @dataclass
@@ -270,18 +287,10 @@ def green_decay_profile(
     dists = np.asarray([int(np.abs(t - base).sum()) for t in targets])
     z = complex(z)
 
-    if _on_chain_kernel(volume, z):
-
-        def reduce(fields, first):
-            return np.abs(chain_green(model.lam * fields, z, [ix])[:, 0, cols]) ** s
-
-        data, redraws = _block_realizations(model, volume, n_samples, master_seed, reduce)
-    else:
-        rows, redraws = _realizations(
-            model, volume, n_samples, master_seed,
-            lambda real: np.abs(green_column(assemble(real, model.lam), z, x)[cols]) ** s,
-        )
-        data = np.asarray(rows)
+    data, redraws = _green_rows(
+        model, volume, z, [ix], cols, [model.lam], [n_samples], n_samples, master_seed,
+        lambda g, first: np.abs(g[:, 0, 0]) ** s,
+    )
     estimates = [
         _mean_estimate(data[:, j], master_seed, {"distance": int(dists[j]), "redraws": redraws})
         for j in range(data.shape[1])
@@ -399,51 +408,28 @@ def minami_determinant(
         raise ValidationError("need one sample count in [1, n_samples] per disorder strength")
     pair = [ix, iy]
 
-    def check_psd(dets, first):
+    def dets(g, first):
         # rows are realizations from ``first`` on; unused entries are nan
-        bad = np.argwhere(dets < -1e-10)
+        im = g.imag
+        out = im[..., 0, 0] * im[..., 1, 1] - im[..., 0, 1] * im[..., 1, 0]
+        bad = np.argwhere(out < -1e-10)
         if len(bad):
             i, j = bad[0]
             raise _InvariantViolation(
                 f"imaginary Green submatrix lost positive semidefiniteness at realization "
-                f"{first + i}: det = {dets[i, j]!r}"
+                f"{first + i}: det = {out[i, j]!r}"
             )
-        return dets
+        return out
 
-    if _on_chain_kernel(volume, z):
-
-        def reduce_block(fields, first):
-            dets = np.full((len(fields), len(lams)), np.nan)
-            for j, (lam, m) in enumerate(zip(lams, counts)):
-                if m > first:
-                    im = chain_green(lam * fields[: m - first], z, pair)[:, :, pair].imag
-                    dets[: len(im), j] = im[:, 0, 0] * im[:, 1, 1] - im[:, 0, 1] * im[:, 1, 0]
-            return check_psd(dets, first)
-
-        rows, redraws = _block_realizations(model, volume, n_samples, master_seed, reduce_block)
-    else:
-        rhs = np.zeros((len(volume), 2), dtype=complex)
-        rhs[ix, 0] = 1.0
-        rhs[iy, 1] = 1.0
-
-        def reduce(real):
-            dets = np.full(len(lams), np.nan)
-            for j, (lam, m) in enumerate(zip(lams, counts)):
-                if real.stream_index < m:
-                    op = assemble(real, lam)
-                    shifted = op.matrix.astype(complex)
-                    np.fill_diagonal(shifted, op.diagonal - z)
-                    im = np.linalg.solve(shifted, rhs)[pair].imag
-                    dets[j] = im[0, 0] * im[1, 1] - im[0, 1] * im[1, 0]
-            return check_psd(dets[None], real.stream_index)[0]
-
-        rows, redraws = _realizations(model, volume, n_samples, master_seed, reduce)
+    rows, redraws = _green_rows(
+        model, volume, z, pair, pair, lams, counts, n_samples, master_seed, dets
+    )
     try:
         cmin, note = minami_bound_constant(model), None
     except (ValidationError, NumericalError) as exc:
         cmin, note = None, str(exc)
     out = []
-    for lam, m, vals in zip(lams, counts, np.asarray(rows).T.copy()):
+    for lam, m, vals in zip(lams, counts, rows.T.copy()):
         vals = vals[:m]
         meta: dict = {
             "z": [z.real, z.imag],
@@ -563,15 +549,7 @@ def recursion_probe(
     ix, iy = _require_inside(volume, x, y)
     if ix == iy:
         raise ValidationError("the recursion is off-diagonal; need x != y")
-    ypt = np.asarray(volume.points[iy])
-    neighbor_idx = []
-    for axis in range(volume.dimension):
-        for step in (-1, 1):
-            q = ypt.copy()
-            q[axis] += step
-            j = volume.index_of(q)
-            if j >= 0:
-                neighbor_idx.append(j)
+    neighbor_idx = volume.neighbors(iy)
 
     def reduce(real):
         per_lam = []

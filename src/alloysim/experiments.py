@@ -892,10 +892,10 @@ def run(
 ) -> int:
     """Execute one experiment config.
 
-    Exit codes: 0 success, 2 validation error (nothing is written: a
-    directory this call created is removed again), 3 numerical failure (the
-    operation's error is printed verbatim; no manifest is written, so the
-    run reads as incomplete).
+    Exit codes: 0 success, 2 validation error or an output directory that
+    cannot be created (nothing is written: a directory this call created is
+    removed again), 3 numerical failure (the operation's error is printed
+    verbatim; no manifest is written, so the run reads as incomplete).
     """
     try:
         cfg = load_config(config_path, seed_override=seed, out_override=out)
@@ -908,7 +908,11 @@ def run(
     created = [d for d in [outdir, *outdir.parents] if not d.exists()]
     started = _utcnow()
     try:
-        outdir.mkdir(parents=True, exist_ok=True)
+        try:
+            outdir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            msg = f"cannot create output directory {outdir}: {exc.strerror}"
+            raise ValidationError(msg) from exc
         results, files = _KINDS[cfg.kind].runner(cfg, outdir)
     except ValidationError as exc:
         if created:
@@ -986,7 +990,8 @@ def suite(manifest_path) -> int:
     exception gets exit code 4 and its traceback in the report.  A malformed
     manifest (``name`` and ``out`` strings, ``configs`` a list of strings) or
     an ``ALLOYSIM_WORKERS`` that is not an integer >= 1 exits 2 before any
-    member runs or anything is written.
+    member runs or anything is written, and so does a report directory that
+    cannot be created.
     """
     manifest_path = Path(manifest_path)
     try:
@@ -1004,6 +1009,12 @@ def suite(manifest_path) -> int:
     out_root = Path(data.get("out", base / f"{manifest_path.stem}_results"))
     if not out_root.is_absolute():
         out_root = base / out_root
+    try:
+        out_root.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        msg = f"cannot create suite output directory {out_root}: {exc.strerror}"
+        print(msg, file=sys.stderr)
+        return 2
     jobs = [
         (str(base / c), str(out_root / Path(c).stem)) for c in data["configs"]
     ]
@@ -1019,7 +1030,6 @@ def suite(manifest_path) -> int:
         "all_ok": all_ok,
         "members": members,
     }
-    out_root.mkdir(parents=True, exist_ok=True)
     with open(out_root / "suite_report.json", "w") as fh:
         json.dump(report, fh, indent=2, sort_keys=True)
         fh.write("\n")

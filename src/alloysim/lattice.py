@@ -10,8 +10,6 @@ contribute 0.
 
 from __future__ import annotations
 
-import csv
-import math
 from dataclasses import dataclass, field as dc_field
 from typing import Optional, Sequence
 
@@ -25,15 +23,11 @@ __all__ = [
     "build_volume",
     "FiniteVolumeOperator",
     "assemble",
-    "SpectralDecomposition",
-    "eigen",
     "spectrum",
     "green",
     "green_column",
     "chain_green",
     "resolvent_identity_residual",
-    "operator_to_csv",
-    "eigenvalues_to_csv",
 ]
 
 
@@ -64,6 +58,19 @@ class FiniteVolume:
 
     def __contains__(self, point) -> bool:
         return self.index_of(point) >= 0
+
+    def neighbors(self, i: int) -> list[int]:
+        """Indices of the l1 neighbours of point ``i`` inside the volume, axis
+        by axis, the ``-1`` step before the ``+1`` step."""
+        out = []
+        for axis in range(self.dimension):
+            for step in (-1, 1):
+                q = self.points[i].copy()
+                q[axis] += step
+                j = self._index.get(tuple(q), -1)
+                if j >= 0:
+                    out.append(j)
+        return out
 
     def neighbor_pairs(self) -> np.ndarray:
         """Index pairs (i, j), i < j, of l1-adjacent points."""
@@ -165,25 +172,6 @@ def assemble(realization, lam: float) -> FiniteVolumeOperator:
     return FiniteVolumeOperator(volume=vol, matrix=mat, lam=float(lam), diagonal=diag)
 
 
-@dataclass
-class SpectralDecomposition:
-    """Eigenvalues (ascending) and orthonormal eigenvectors (columns)."""
-
-    values: np.ndarray
-    vectors: np.ndarray
-    matrix: np.ndarray
-
-    def residual(self) -> float:
-        """Max column residual ``|H v - E v|`` relative to the matrix scale."""
-        r = self.matrix @ self.vectors - self.vectors * self.values
-        scale = max(1.0, float(np.abs(self.matrix).sum(axis=1).max()))
-        return float(np.abs(r).max() / scale)
-
-    def gram_defect(self) -> float:
-        g = self.vectors.T @ self.vectors - np.eye(self.vectors.shape[1])
-        return float(np.abs(g).max())
-
-
 def spectrum(op: FiniteVolumeOperator) -> np.ndarray:
     """Eigenvalues only, cached on the operator (tridiagonal fast path)."""
     if op._evals is None:
@@ -193,13 +181,6 @@ def spectrum(op: FiniteVolumeOperator) -> np.ndarray:
         else:
             op._evals = np.linalg.eigvalsh(op.matrix)
     return op._evals
-
-
-def eigen(op: FiniteVolumeOperator) -> SpectralDecomposition:
-    """Full symmetric eigendecomposition."""
-    values, vectors = scipy.linalg.eigh(op.matrix)
-    op._evals = values
-    return SpectralDecomposition(values=values, vectors=vectors, matrix=op.matrix)
 
 
 _REAL_GUARD = 1e-12
@@ -291,33 +272,6 @@ def resolvent_identity_residual(op: FiniteVolumeOperator, energy: float, x, y) -
     if ix == iy:
         raise ValidationError("the identity is off-diagonal; need x != y")
     row = green_column(op, complex(energy), x)  # row x by symmetry
-    ypt = np.asarray(vol.points[iy])
-    acc = 0.0 + 0.0j
-    for axis in range(vol.dimension):
-        for step in (-1, 1):
-            q = ypt.copy()
-            q[axis] += step
-            j = vol.index_of(q)
-            if j >= 0:
-                acc += row[j]
-    lhs = acc
+    lhs = row[vol.neighbors(iy)].sum()
     rhs = (op.diagonal[iy] - energy) * row[iy]
     return float(abs(lhs - rhs) / (1.0 + abs(row[iy])))
-
-
-def operator_to_csv(op: FiniteVolumeOperator, path) -> None:
-    """Write the nonzero entries as ``row,col,value`` triplets."""
-    rows, cols = np.nonzero(op.matrix)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["row", "col", "value"])
-        for i, j in zip(rows, cols):
-            writer.writerow([int(i), int(j), repr(float(op.matrix[i, j]))])
-
-
-def eigenvalues_to_csv(values: Sequence[float], path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["index", "eigenvalue"])
-        for i, v in enumerate(values):
-            writer.writerow([i, repr(float(v))])

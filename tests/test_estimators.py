@@ -489,11 +489,16 @@ class TestRealizationLoop:
             return column(op, z, y)
 
         monkeypatch.setattr(estimators, "green_column", flaky)
-        vol = build_volume(1, radius=2)
+        m, v = anderson_gaussian, build_volume(1, radius=2)
         # a real energy keeps the row-by-row path, whose reduction can redraw
-        est = al.fractional_moment(anderson_gaussian, vol, 0.1, 0, 1, 0.5, 3, master_seed=5)
-        assert est.metadata["redraws"] == 1
-        assert draws == [(0, 0), (1, 0), (1, 1), (2, 0)]
+        for estimate in [
+            lambda: [al.fractional_moment(m, v, 0.1, 0, 1, 0.5, 3, master_seed=5)],
+            lambda: al.green_decay_profile(m, v, 0.1, 0, [[0], [1], [2]], 0.5, 3, 5).estimates,
+        ]:
+            draws.clear()
+            for est in estimate():
+                assert est.metadata["redraws"] == 1
+            assert draws == [(0, 0), (1, 0), (1, 1), (2, 0)]
 
     @pytest.mark.parametrize("estimate", [
         lambda m, v: [al.fractional_moment(m, v, 0.1j, 0, 1, 0.5, 3, 5)],
@@ -540,13 +545,13 @@ class TestRealizationLoop:
         vol = build_volume(2, radius=1)
         ix, iy = vol.index_of([0, 0]), vol.index_of([0, 1])
 
-        def indefinite(a, b):
-            out = np.zeros(b.shape, dtype=complex)
-            out[ix] = [1j, 2j]
-            out[iy] = [2j, 1j]  # imaginary submatrix [[1, 2], [2, 1]] has det -3
+        def indefinite(op, z, y):
+            # columns ix and iy give the imaginary submatrix [[1, 2], [2, 1]], det -3
+            out = np.zeros(op.size, dtype=complex)
+            out[[ix, iy]] = [1j, 2j] if op.volume.index_of(y) == ix else [2j, 1j]
             return out
 
-        monkeypatch.setattr(np.linalg, "solve", indefinite)
+        monkeypatch.setattr(estimators, "green_column", indefinite)
         with pytest.raises(al.NumericalError, match="positive semidefiniteness"):
             al.minami_determinant(
                 anderson_gaussian, vol, 0.1j, [0, 0], [0, 1], [10.0], 5, master_seed=3

@@ -272,6 +272,17 @@ class TestRun:
         assert "validation error" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("out", ["file", "file/sub"], ids=["existing-file", "under-a-file"])
+    def test_unusable_output_path_exits_2(self, tmp_path, capsys, out):
+        cfg = inverse_moment_config(tmp_path)
+        (tmp_path / "file").write_text("mine")
+        before = sorted(tmp_path.rglob("*"))
+        assert run(cfg, out=str(tmp_path / out)) == 2
+        err = capsys.readouterr().err
+        assert "cannot create output directory" in err and len(err.splitlines()) == 1
+        assert sorted(tmp_path.rglob("*")) == before
+        assert (tmp_path / "file").read_text() == "mine"
+
     def test_missing_config_file_exits_2(self, tmp_path, capsys):
         assert run(tmp_path / "absent.json", out=str(tmp_path / "never")) == 2
         assert "cannot read config" in capsys.readouterr().err
@@ -435,6 +446,20 @@ class TestSuite:
         before = sorted(tmp_path.rglob("*"))
         assert suite(path) == 2
         assert "suite manifest error" in capsys.readouterr().err
+        assert sorted(tmp_path.rglob("*")) == before
+
+    @pytest.mark.parametrize("out", ["file", "file/sub"], ids=["existing-file", "under-a-file"])
+    def test_unusable_report_dir_exits_2_before_any_member(self, tmp_path, capsys, out):
+        inverse_moment_config(tmp_path, "im.json")
+        (tmp_path / "file").write_text("mine")
+        manifest = write_config(
+            tmp_path / "suite.json", {"schema_version": 1, "configs": ["im.json"], "out": out}
+        )
+        before = sorted(tmp_path.rglob("*"))
+        assert suite(manifest) == 2
+        captured = capsys.readouterr()
+        assert "cannot create suite output directory" in captured.err
+        assert "inverse-moment" not in captured.out
         assert sorted(tmp_path.rglob("*")) == before
 
     @pytest.mark.parametrize("workers", ["two", "0", "-1"])
