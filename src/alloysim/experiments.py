@@ -42,6 +42,7 @@ from .estimators import (
 )
 from .ids import (
     RescaledSpectrum,
+    _unit_windows,
     ids_estimate,
     poisson_statistics,
     sample_rescaled_spectra,
@@ -308,6 +309,16 @@ _COUNT = _int(1)
 _RADIUS = _int(0)
 _PAIR = _list(_NUMBER, length=lambda dim: 2)
 _POINT = _list(_int(), length=lambda dim: dim)  # a lattice point of the model's dimension
+
+
+def _window(v, path, dim):
+    """A ``[lo, hi]`` pair holding a unit subwindow, as ``poisson_statistics`` needs."""
+    pair = _PAIR.check(v, path, dim)
+    try:
+        _unit_windows(pair)
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}, got {v!r}") from None
+    return pair
 
 
 def _measure(v, path, dim):
@@ -721,10 +732,10 @@ def _run_poisson(cfg: ExperimentConfig, outdir: Path):
         n_grid=p["n_grid"],
     )
     e0 = table.median_energy() if p["e0"] == "median" else p["e0"]
-    spectra = sample_rescaled_spectra(
-        cfg.model, stats_vol, table, e0, p["n_realizations"], cfg.seed
-    )
     window = p["window"]
+    spectra = sample_rescaled_spectra(
+        cfg.model, stats_vol, table, e0, p["n_realizations"], cfg.seed, window=window
+    )
     report = poisson_statistics(spectra, window=window, bin_width=p["bin_width"])
     table.to_csv(outdir / "ids.csv")
     report.gap_histogram_to_csv(outdir / "gaps.csv")
@@ -854,7 +865,7 @@ _KINDS = {
         radius=_RADIUS, n_realizations=_COUNT, n_grid=_int(2, default=20001))),
     "poisson": _Kind(_run_poisson, True, dict(
         stats_radius=_RADIUS, ids_radius=_RADIUS, ids_realizations=_COUNT,
-        n_realizations=_COUNT, window=dc_replace(_PAIR, default=(-5.0, 5.0)),
+        n_realizations=_COUNT, window=_Param(_window, default=(-5.0, 5.0)),
         bin_width=_num(0, strict=True, default=0.25),
         e0=_Param(lambda v, path, dim: v if v == "median" else _NUMBER.check(v, path, dim),
                   default="median"),

@@ -20,7 +20,7 @@ from scipy import stats as sps
 
 from .errors import NumericalError, ValidationError
 from .field import sample_field
-from .lattice import FiniteVolume, assemble, spectrum
+from .lattice import FiniteVolume, assemble, chain_count, spectrum
 from .model import AlloyModel
 
 __all__ = [
@@ -221,10 +221,83 @@ def rescale_eigenvalues(
     if len(evals) and (evals[0] < lo or evals[-1] > hi):
         bad = evals[0] if evals[0] < lo else evals[-1]
         raise ValidationError(
-            f"eigenvalue {bad!r} falls outside the counting-function grid [{lo!r}, {hi!r}]"
+            f"eigenvalue {float(bad)!r} falls outside the counting-function grid "
+            f"[{float(lo)!r}, {float(hi)!r}]"
         )
     xi = volume_points * (ids.evaluate(evals) - ids.evaluate(e0))
     return RescaledSpectrum(e0=float(e0), xi=np.asarray(xi), volume_points=volume_points)
+
+
+def _unit_windows(window) -> tuple[float, float, int]:
+    """``(lo, hi, n)`` for a window ``[lo, hi]`` that holds ``n >= 1`` unit
+    subwindows; raises when it holds none."""
+    lo, hi = float(window[0]), float(window[1])
+    n_windows = int(math.floor(hi - lo + 1e-9))
+    if n_windows < 1:
+        raise ValidationError("window must span at least one unit length")
+    return lo, hi, n_windows
+
+
+# Margin, in units of the mean level spacing, by which the energy bracket of a
+# window reaches past it: far above the rounding of ``xi`` (a few ulps times
+# the volume, about 1e-12 at a thousand sites) and far below one eigenvalue.
+_XI_MARGIN = 1e-6
+
+
+def _energy_bracket(ids: IdsTable, e0: float, volume_points: int, lo: float, hi: float):
+    """Grid energies ``(ea, eb)`` with every energy whose rescaled value lies
+    in ``[lo, hi]`` strictly between them; -inf or inf where the grid ends
+    before the window does."""
+    xi = volume_points * (ids.values - ids.evaluate(e0))  # nondecreasing
+    below = np.searchsorted(xi, lo - _XI_MARGIN, side="left") - 1
+    above = np.searchsorted(xi, hi + _XI_MARGIN, side="right")
+    ea = ids.energies[below] if below >= 0 else -np.inf
+    eb = ids.energies[above] if above < len(xi) else np.inf
+    return ea, eb
+
+
+# A block's diagonals stay within this, and so, with at most ``n`` targets per
+# chain, does each of the bisection's temporaries.
+_BLOCK_BYTES = 1 << 20
+
+
+def _bisect_eigenvalues(diagonals, index, lower, upper) -> np.ndarray:
+    """Eigenvalue ``index[i, t]`` of chain ``i`` (counted from 0), given that
+    it lies in ``[lower[i, t], upper[i, t]]``, by bisection on
+    ``chain_count`` to about 2 ulps.  The chains' norms are at least 1, so
+    the ulps are those of ``max(|lower|, |upper|, 1)``."""
+    lower, upper = lower.copy(), upper.copy()
+    while True:
+        scale = np.maximum(np.maximum(np.abs(lower), np.abs(upper)), 1.0)
+        if np.all(upper - lower <= 2 * np.spacing(scale)):
+            return 0.5 * (lower + upper)
+        mid = 0.5 * (lower + upper)
+        above = chain_count(diagonals, mid) > index
+        np.copyto(upper, mid, where=above)
+        np.copyto(lower, mid, where=~above)
+
+
+def _window_eigenvalues(diagonals: np.ndarray, ea: float, eb: float) -> list:
+    """Per chain, its eigenvalues in ``[ea, eb)`` and the first one at or
+    above ``eb``: indices ``nu(ea)`` through ``nu(eb)``, where ``nu`` is the
+    chain's ``chain_count``."""
+    b, n = diagonals.shape
+    ec = eb + (eb - ea)  # [eb, ec) holds about as many eigenvalues as [ea, eb)
+    start, end, beyond = chain_count(diagonals, np.tile([ea, eb, ec], (b, 1))).T
+    stop = np.minimum(end + 1, n)
+    k = max(int(np.max(stop - start)), 0)
+    index = np.minimum(start[:, None] + np.arange(k), stop[:, None] - 1)
+    below_eb = index < end[:, None]
+    # Gershgorin bounds enclose every eigenvalue of a chain with hopping -1;
+    # ec bounds the first one at or above eb whenever [eb, ec) holds one
+    low = np.maximum(diagonals.min(axis=1) - 2.0, ea)[:, None]
+    high = diagonals.max(axis=1) + 2.0
+    high = np.where(beyond > end, np.minimum(high, ec), high)[:, None]
+    evals = _bisect_eigenvalues(
+        diagonals, index,
+        np.where(below_eb, low, eb), np.where(below_eb, np.minimum(high, eb), high),
+    )
+    return [evals[i, : stop[i] - start[i]] for i in range(b)]
 
 
 def sample_rescaled_spectra(
@@ -234,10 +307,39 @@ def sample_rescaled_spectra(
     e0: float,
     n_realizations: int,
     master_seed: int,
+    window: Optional[tuple[float, float]] = None,
 ) -> list:
-    """Draw independent spectra and rescale each around the reference energy."""
-    spectra = _spectra(model, volume, n_realizations, master_seed)
-    return [rescale_eigenvalues(evals, ids, e0, len(volume)) for evals in spectra]
+    """Draw independent spectra and rescale each around the reference energy.
+
+    Without ``window`` each ``xi`` holds the whole rescaled spectrum.  With
+    ``window = (lo, hi)`` on a chain of more than one site, it holds a
+    contiguous slice of it: every point in ``[lo, hi]`` and the first point
+    above the last of them, which is all ``poisson_statistics`` reads with
+    that window, plus any points within about one grid step of the IDS
+    table outside the window.  Only those eigenvalues are computed, by
+    bisection on ``chain_count`` across a block of realizations, so the
+    grid-range check of ``rescale_eigenvalues`` covers them alone.
+    Realization ``r`` draws its field from stream ``r`` either way.
+    """
+    n = len(volume)
+    if window is None or not volume.is_chain or n == 1:
+        spectra = _spectra(model, volume, n_realizations, master_seed)
+        return [rescale_eigenvalues(evals, ids, e0, n) for evals in spectra]
+    lo, hi, _ = _unit_windows(window)
+    ea, eb = _energy_bracket(ids, e0, n, lo, hi)
+    size = max(1, _BLOCK_BYTES // (8 * n))
+    out = []
+    for first in range(0, n_realizations, size):
+        rows = range(first, min(first + size, n_realizations))
+        diagonals = np.empty((len(rows), n), order="F")  # one site per column
+        for i, r in enumerate(rows):
+            real = sample_field(model.potential, model.measure, volume, master_seed, r)
+            diagonals[i] = model.lam * np.asarray(real.field, dtype=float)
+        out += [
+            rescale_eigenvalues(evals, ids, e0, n)
+            for evals in _window_eigenvalues(diagonals, ea, eb)
+        ]
+    return out
 
 
 @dataclass
@@ -334,10 +436,7 @@ def poisson_statistics(
         raise ValidationError(
             f"need at least {min_realizations} realizations, got {len(spectra)}"
         )
-    lo, hi = float(window[0]), float(window[1])
-    n_windows = int(math.floor(hi - lo + 1e-9))
-    if n_windows < 1:
-        raise ValidationError("window must span at least one unit length")
+    lo, hi, n_windows = _unit_windows(window)
     if bin_width <= 0:
         raise ValidationError("bin width must be positive")
 

@@ -27,6 +27,7 @@ __all__ = [
     "green",
     "green_column",
     "chain_green",
+    "chain_count",
     "resolvent_identity_residual",
 ]
 
@@ -247,6 +248,55 @@ def chain_green(diagonals: np.ndarray, z: complex, sites: Sequence[int]) -> np.n
         rows[i, :j] = g * np.cumprod(inv_left[j:0:-1], axis=0)[::-1]
         rows[i, j + 1:] = g * np.cumprod(inv_right[j + 1:n], axis=0)
     return rows.transpose(2, 0, 1)
+
+
+# An int8 tally holds the negative pivots of this many sites.
+_TALLY_SITES = 127
+
+
+def chain_count(diagonals: np.ndarray, energies: np.ndarray) -> np.ndarray:
+    """Eigenvalues strictly below each energy, for a block of chains.
+
+    Row ``i`` of ``diagonals`` (shape ``(b, n)``) is the diagonal
+    ``lam * field`` of one operator ``H`` on an ``n``-site chain, whose
+    hopping is -1 between consecutive sites; row ``i`` of ``energies`` (shape
+    ``(b, m)``) holds the energies ``x`` at which that chain is counted.
+    Returns the ``(b, m)`` counts.
+
+    The count is the number of negative pivots ``q_k = (a_k - x) - 1/q_{k-1}``
+    of ``H - x`` (Sylvester's law of inertia, the Sturm count).  A zero pivot
+    is moved off zero by an infinitesimal of its own sign, as LAPACK's
+    ``dlaneg`` does through IEEE arithmetic: its reciprocal is +-inf, the next
+    pivot is -+inf, and the sign bit counts ``-0`` as negative, so exactly one
+    of the pair is counted either way.  A zero last pivot means ``x`` is an
+    eigenvalue, which is not below ``x``, so the last site counts ``q < 0``.
+    Fortran-ordered ``diagonals`` are read one contiguous site at a time.
+    """
+    a = np.asarray(diagonals, dtype=float).T  # (n, b): one site per row
+    x = np.ascontiguousarray(np.asarray(energies, dtype=float).T)  # (m, b)
+    n = len(a)
+    q = np.empty_like(x)
+    shifted = np.empty_like(x)
+    negative = np.empty(x.shape, dtype=bool)
+    tally = np.empty(x.shape, dtype=np.int8)
+    count = np.zeros(x.shape, dtype=np.int64)
+    with np.errstate(divide="ignore", over="ignore"):
+        for start in range(0, n, _TALLY_SITES):
+            tally.fill(0)
+            for k in range(start, min(start + _TALLY_SITES, n)):
+                if k:
+                    np.subtract(a[k], x, out=shifted)
+                    np.divide(1.0, q, out=q)
+                    np.subtract(shifted, q, out=q)
+                else:
+                    np.subtract(a[0], x, out=q)
+                if k == n - 1:
+                    np.less(q, 0.0, out=negative)
+                else:
+                    np.signbit(q, out=negative)
+                np.add(tally, negative.view(np.int8), out=tally)
+            count += tally
+    return count.T
 
 
 def green(op: FiniteVolumeOperator, z: complex, x, y) -> complex:

@@ -226,9 +226,9 @@ def test_criterion_10_poisson_statistics(delta_profile, uniform01):
     ids_table = al.ids_estimate(model, al.build_volume(1, 400), 30, 2110)
     e0 = ids_table.median_energy()
     spectra = al.sample_rescaled_spectra(
-        model, al.build_volume(1, 250), ids_table, e0, 500, 2111
+        model, al.build_volume(1, 250), ids_table, e0, 500, 2111, window=(-5.0, 5.0)
     )
-    report = al.poisson_statistics(spectra)
+    report = al.poisson_statistics(spectra, window=(-5.0, 5.0))
 
     rigid = [
         al.RescaledSpectrum(e0=0.0, xi=np.arange(-8.0, 9.0) + 0.5, volume_points=501)

@@ -256,6 +256,8 @@ class TestRun:
             ("wegner", ("model", "lambda"), "ten"),
             ("wegner", ("model", "lambda"), None),
             ("wegner", ("model", "single_site"), 5),
+            ("poisson", ("window",), [5, -5]),
+            ("poisson", ("window",), [0, 0.5]),
         ],
     )
     def test_malformed_input_exits_2_without_output_dir(
@@ -271,6 +273,18 @@ class TestRun:
         assert run(cfg, out=str(out)) == 2
         assert "validation error" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_poisson_with_unbounded_measure_reads_only_the_window(self, tmp_path, capsys):
+        # the IDS grid of a gaussian measure ends one unit past the pooled
+        # eigenvalues, so far-tail eigenvalues of the statistics realizations
+        # fall outside it; the statistics never read them
+        payload = json.loads((REPO / "suites/acceptance_checks/poisson.json").read_text())
+        payload["model"]["measure"] = {"kind": "gaussian", "params": {"mean": 0.0, "variance": 1.0}}
+        payload["params"].update(stats_radius=100, ids_radius=100, n_realizations=200)
+        out = tmp_path / "run"
+        assert run(write_config(tmp_path / "gauss.json", payload), out=str(out)) == 0
+        assert "grid" not in capsys.readouterr().err
+        assert (out / "gaps.csv").exists()
 
     @pytest.mark.parametrize("out", ["file", "file/sub"], ids=["existing-file", "under-a-file"])
     def test_unusable_output_path_exits_2(self, tmp_path, capsys, out):

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import alloysim as al
 from alloysim import (
@@ -174,7 +175,124 @@ class TestRescaling:
         table = self.linear_table()
         with pytest.raises(al.ValidationError) as err:
             rescale_eigenvalues(np.array([1.5]), table, e0=0.5, volume_points=100)
-        assert "1.5" in str(err.value)
+        assert "eigenvalue 1.5 falls outside" in str(err.value)
+        assert "np.float64" not in str(err.value)
+
+
+class TestWindowEigenvalues:
+    """The bisection against LAPACK's eigenvalues of the same chains."""
+
+    @pytest.mark.parametrize(
+        "ea, eb",
+        [(-np.inf, np.inf), (-3.0, 2.5), (1.0, 1.5), (40.0, 45.0), (60.0, np.inf)],
+        ids=["everything", "outlier-neighbour", "narrow", "neighbour-only", "above-all"],
+    )
+    def test_slices_match_lapack(self, rng, ea, eb):
+        diags = rng.uniform(-1.0, 1.0, size=(6, 30))
+        diags[:, -1] = 50.0  # one eigenvalue near 50, far above the rest
+        got = al.ids._window_eigenvalues(np.asfortranarray(diags), ea, eb)
+        for evals, diag in zip(got, diags):
+            full = scipy.linalg.eigvalsh_tridiagonal(diag, -np.ones(len(diag) - 1))
+            start, end = np.searchsorted(full, [ea, eb])
+            np.testing.assert_allclose(evals, full[start: end + 1], rtol=1e-12, atol=1e-13)
+
+
+class TestWindowedSpectra:
+    """``sample_rescaled_spectra`` with a window against the full-spectrum path."""
+
+    WINDOW = (-5.0, 5.0)
+
+    @pytest.fixture(scope="class")
+    def chain(self):
+        model = AlloyModel(
+            al.build_single_site(1, {(0,): 1.0}), al.CouplingMeasure.uniform(0.0, 1.0), 15.0
+        )
+        table = ids_estimate(model, build_volume(1, 100), 20, master_seed=5)
+        return model, table, table.median_energy(), build_volume(1, 60)
+
+    @pytest.fixture(scope="class")
+    def both(self, chain):
+        model, table, e0, vol = chain
+        full = al.sample_rescaled_spectra(model, vol, table, e0, 200, 6)
+        windowed = al.sample_rescaled_spectra(model, vol, table, e0, 200, 6, window=self.WINDOW)
+        return full, windowed
+
+    def test_contiguous_slices_of_the_full_spectrum(self, both):
+        lo, hi = self.WINDOW
+        for full, windowed in zip(*both):
+            # bisection and LAPACK differ by the latter's rounding, about 1e-13
+            # in energy, which the counting function scales up by about 30
+            start = int(np.argmin(np.abs(full.xi - windowed.xi[0])))
+            piece = full.xi[start: start + len(windowed.xi)]
+            np.testing.assert_allclose(windowed.xi, piece, rtol=1e-12, atol=1e-11)
+            in_window = np.flatnonzero((full.xi >= lo) & (full.xi <= hi))
+            assert start <= in_window[0] and in_window[-1] < start + len(windowed.xi) - 1
+            assert windowed.xi[-1] > hi  # the right neighbour of the last point
+
+    def test_poisson_statistics_agree(self, both):
+        full, windowed = (poisson_statistics(s, window=self.WINDOW) for s in both)
+        assert windowed.count_histogram == full.count_histogram
+        assert windowed.n_gaps == full.n_gaps
+        assert (windowed.count_mean, windowed.count_variance) == (
+            full.count_mean, full.count_variance
+        )
+        assert windowed.ks_statistic == pytest.approx(full.ks_statistic, abs=1e-11)
+        np.testing.assert_allclose(windowed.gap_density, full.gap_density, rtol=1e-12)
+
+    def test_window_reaching_past_the_grid_returns_every_eigenvalue(self, chain, both):
+        model, table, e0, vol = chain
+        wide = al.sample_rescaled_spectra(model, vol, table, e0, 200, 6, window=(-1e3, 1e3))
+        for full, windowed in zip(both[0], wide):
+            assert len(windowed.xi) == len(vol)
+            np.testing.assert_allclose(windowed.xi, full.xi, rtol=1e-12, atol=1e-11)
+
+    def test_blocks_do_not_change_the_slices(self, chain, both, monkeypatch):
+        model, table, e0, vol = chain
+        monkeypatch.setattr(al.ids, "_BLOCK_BYTES", 8 * len(vol) * 7)  # blocks of 7
+        small = al.sample_rescaled_spectra(model, vol, table, e0, 200, 6, window=self.WINDOW)
+        for one, other in zip(both[1], small):
+            np.testing.assert_allclose(other.xi, one.xi, rtol=1e-12, atol=1e-11)
+
+    def test_each_stream_drawn_once_and_nothing_assembled(self, chain, monkeypatch):
+        model, table, e0, vol = chain
+        streams = []
+        draw = al.ids.sample_field
+
+        def spy(potential, measure, volume, master_seed, stream_index, *args, **kwargs):
+            streams.append(stream_index)
+            return draw(potential, measure, volume, master_seed, stream_index, *args, **kwargs)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the windowed path assembles no operator")
+
+        monkeypatch.setattr(al.ids, "sample_field", spy)
+        monkeypatch.setattr(al.ids, "assemble", forbidden)
+        monkeypatch.setattr(al.ids, "spectrum", forbidden)
+        out = al.sample_rescaled_spectra(model, vol, table, e0, 9, 6, window=self.WINDOW)
+        assert streams == list(range(9)) and len(out) == 9
+
+    def test_window_none_and_2d_keep_the_full_spectrum(self, chain):
+        model, table, e0, vol = chain
+        for rescaled in al.sample_rescaled_spectra(model, vol, table, e0, 3, 6):
+            assert len(rescaled.xi) == len(vol)
+        model2 = AlloyModel(
+            al.build_single_site(2, {(0, 0): 1.0}), al.CouplingMeasure.uniform(0.0, 1.0), 15.0
+        )
+        box = build_volume(2, 3)
+        table2 = ids_estimate(model2, box, 5, master_seed=5)
+        e2 = table2.median_energy()
+        plain = al.sample_rescaled_spectra(model2, box, table2, e2, 3, 6)
+        windowed = al.sample_rescaled_spectra(model2, box, table2, e2, 3, 6, window=self.WINDOW)
+        for a, b in zip(plain, windowed):
+            assert len(b.xi) == len(box)
+            np.testing.assert_array_equal(a.xi, b.xi)
+
+    @pytest.mark.parametrize("window", [(5.0, -5.0), (0.0, 0.5)])
+    def test_malformed_window_rejected_before_drawing(self, chain, window, monkeypatch):
+        model, table, e0, vol = chain
+        monkeypatch.setattr(al.ids, "sample_field", None)  # a draw would raise TypeError
+        with pytest.raises(al.ValidationError, match="unit length"):
+            al.sample_rescaled_spectra(model, vol, table, e0, 200, 6, window=window)
 
 
 class TestPoissonStatistics:

@@ -3,6 +3,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import alloysim as al
 from alloysim import assemble, build_volume, green, green_column, spectrum
@@ -186,6 +187,66 @@ class TestChainGreen:
     def test_real_energy_rejected(self):
         with pytest.raises(al.ValidationError):
             al.chain_green(np.zeros((1, 3)), 0.5, [0])
+
+
+def chain_eigenvalues(diag):
+    n = len(diag)
+    return scipy.linalg.eigvalsh_tridiagonal(diag, -np.ones(n - 1)) if n > 1 else diag.copy()
+
+
+class TestChainCount:
+    """The batched Sturm count against searchsorted on tridiagonal spectra."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 21, 501])
+    def test_counts_match_spectra(self, rng, n):
+        diags = 10.0 * rng.normal(size=(4, n))
+        spectra = [chain_eigenvalues(d) for d in diags]
+        off = rng.uniform(-40.0, 40.0, size=(4, 30))
+        counts = al.chain_count(diags, off)
+        assert counts.shape == (4, 30)
+        for c, x, evals in zip(counts, off, spectra):
+            np.testing.assert_array_equal(c, np.searchsorted(evals, x))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 21, 501])
+    def test_at_and_one_ulp_around_eigenvalues(self, rng, n):
+        # LAPACK's eigenvalues are rounded, so at them the count may fall on
+        # either side of each eigenvalue within its error, and no further
+        diags = 10.0 * rng.normal(size=(3, n))
+        spectra = [chain_eigenvalues(d) for d in diags]
+        x = np.stack([
+            np.concatenate([e, np.nextafter(e, -np.inf), np.nextafter(e, np.inf)])
+            for e in spectra
+        ])
+        counts = al.chain_count(diags, x)
+        for c, energies, diag, evals in zip(counts, x, diags, spectra):
+            err = 8 * np.finfo(float).eps * (np.abs(diag).max() + 2.0)
+            assert np.all(np.searchsorted(evals, energies - err) <= c)
+            assert np.all(c <= np.searchsorted(evals, energies + err))
+
+    def test_exact_eigenvalues_are_not_below_themselves(self):
+        # eigenvalues c - 1, c + 1 (n = 2) and c (n = 3) are exact in floats
+        for n, evals in ((1, [0.25]), (2, [-0.75, 1.25]), (3, [0.25])):
+            diag = np.full((1, n), 0.25)
+            for e in evals:
+                x = [[np.nextafter(e, -np.inf), e, np.nextafter(e, np.inf)]]
+                below = int(np.searchsorted(chain_eigenvalues(diag[0]), e - 1e-9))
+                assert al.chain_count(diag, x).tolist() == [[below, below, below + 1]]
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 21])
+    @pytest.mark.parametrize("zero", [0.0, -0.0], ids=["+0", "-0"])
+    def test_exact_zero_pivots(self, n, zero):
+        # an all-zero diagonal at x = 0 makes every other pivot exactly zero;
+        # the free chain has n // 2 eigenvalues below 0 and, for odd n, one at 0
+        diags = np.full((1, n), zero)
+        assert al.chain_count(diags, np.zeros((1, 1))).item() == n // 2
+        assert al.chain_count(diags, [[-1e-300, 1e-300]]).tolist() == [[n // 2, (n + 1) // 2]]
+
+    def test_fortran_order_and_infinite_energies(self, rng):
+        diags = rng.normal(size=(5, 40))
+        x = np.column_stack([np.full(5, -np.inf), rng.normal(size=(5, 3)), np.full(5, np.inf)])
+        counts = al.chain_count(np.asfortranarray(diags), x)
+        np.testing.assert_array_equal(counts, al.chain_count(diags, x))
+        assert np.all(counts[:, 0] == 0) and np.all(counts[:, -1] == 40)
 
 
 class TestResolventIdentity:
