@@ -1,177 +1,34 @@
 """Numerics for lattice alloy models: random fields built by convolving
 i.i.d. couplings through a single-site profile, the finite-volume operators
 they define, and seeded Monte Carlo estimators for their spectral statistics.
+
+Each submodule's ``__all__`` is its list of public names; the package
+exports their union.  The experiment runner (``alloysim.experiments``) and
+the command line (``alloysim.cli``) are imported on their own.
 """
 
-from .errors import (
-    AlloysimError,
-    ConstantUndefinedError,
-    NoDensityError,
-    NonintegrableError,
-    NumericalError,
-    ValidationError,
-)
-from .estimators import (
-    DecayProfile,
-    RecursionProbe,
-    TwoLevelResult,
-    fractional_moment,
-    fvc_probability,
-    green_decay_profile,
-    minami_bound_constant,
-    minami_determinant,
-    recursion_probe,
-    two_level_probability,
-    wegner_count,
-)
-from .field import FieldRealization, sample_field
-from .ids import (
-    IdsTable,
-    PoissonReport,
-    RescaledSpectrum,
-    ids_estimate,
-    ids_positivity_probe,
-    poisson_statistics,
-    rescale_eigenvalues,
-    sample_rescaled_spectra,
-)
-from .lattice import (
-    FiniteVolume,
-    FiniteVolumeOperator,
-    assemble,
-    build_volume,
-    chain_count,
-    chain_green,
-    green,
-    green_column,
-    resolvent_identity_residual,
-    spectrum,
-)
-from .measures import (
-    CouplingMeasure,
-    DensityNorms,
-    HolderCheck,
-    declared_holder,
-    density_norms,
-    holder_parameters,
-)
-from .model import AlloyModel, constants_report
-from .moments import (
-    InverseMomentCheck,
-    ReverseHolderRatio,
-    inverse_moment_check,
-    reverse_holder_ratio,
-)
-from .potential import (
-    ConvolutionInverseNorm,
-    SingleSitePotential,
-    UniformBoundConstants,
-    VanishingOrder,
-    build_single_site,
-    convolution_inverse_norm,
-    exponential_profile_entries,
-    uniform_bound_constants,
-    vanishing_order,
-)
-from .regularity import (
-    BandEvent,
-    CertificateReport,
-    ConcentrationCurve,
-    ConditionalMCResult,
-    GaussianConditional,
-    Ma1GramIdentities,
-    PinEvent,
-    concentration_curve,
-    concentration_empirical,
-    condition_gaussian_linear,
-    condition_ma1_center,
-    condition_ma1_center_direct,
-    conditional_concentration_mc,
-    ma1_gram_identities,
-    pinning_certificate,
-    uniform_pair_concentration,
-)
-from .results import Estimate
-from .rng import stream_rng
+from . import errors, estimators, field, ids, lattice, measures, model, moments, potential
+from . import regularity, results, rng
+from .errors import *  # noqa: F401,F403
+from .estimators import *  # noqa: F401,F403
+from .field import *  # noqa: F401,F403
+from .ids import *  # noqa: F401,F403
+from .lattice import *  # noqa: F401,F403
+from .measures import *  # noqa: F401,F403
+from .model import *  # noqa: F401,F403
+from .moments import *  # noqa: F401,F403
+from .potential import *  # noqa: F401,F403
+from .regularity import *  # noqa: F401,F403
+from .results import *  # noqa: F401,F403
+from .rng import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AlloysimError",
-    "ValidationError",
-    "NumericalError",
-    "ConstantUndefinedError",
-    "NoDensityError",
-    "NonintegrableError",
-    "CouplingMeasure",
-    "DensityNorms",
-    "HolderCheck",
-    "density_norms",
-    "declared_holder",
-    "holder_parameters",
-    "SingleSitePotential",
-    "build_single_site",
-    "exponential_profile_entries",
-    "VanishingOrder",
-    "vanishing_order",
-    "ConvolutionInverseNorm",
-    "convolution_inverse_norm",
-    "UniformBoundConstants",
-    "uniform_bound_constants",
-    "AlloyModel",
-    "constants_report",
-    "FiniteVolume",
-    "build_volume",
-    "FiniteVolumeOperator",
-    "assemble",
-    "spectrum",
-    "green",
-    "green_column",
-    "chain_green",
-    "chain_count",
-    "resolvent_identity_residual",
-    "FieldRealization",
-    "sample_field",
-    "stream_rng",
-    "Estimate",
-    "uniform_pair_concentration",
-    "concentration_empirical",
-    "ConcentrationCurve",
-    "concentration_curve",
-    "BandEvent",
-    "PinEvent",
-    "ConditionalMCResult",
-    "conditional_concentration_mc",
-    "CertificateReport",
-    "pinning_certificate",
-    "GaussianConditional",
-    "condition_gaussian_linear",
-    "condition_ma1_center",
-    "condition_ma1_center_direct",
-    "Ma1GramIdentities",
-    "ma1_gram_identities",
-    "fractional_moment",
-    "DecayProfile",
-    "green_decay_profile",
-    "wegner_count",
-    "minami_bound_constant",
-    "minami_determinant",
-    "TwoLevelResult",
-    "two_level_probability",
-    "RecursionProbe",
-    "recursion_probe",
-    "fvc_probability",
-    "IdsTable",
-    "ids_estimate",
-    "ids_positivity_probe",
-    "RescaledSpectrum",
-    "rescale_eigenvalues",
-    "sample_rescaled_spectra",
-    "PoissonReport",
-    "poisson_statistics",
-    "InverseMomentCheck",
-    "inverse_moment_check",
-    "ReverseHolderRatio",
-    "reverse_holder_ratio",
-    "__version__",
-]
+    name
+    for module in (
+        errors, estimators, field, ids, lattice, measures, model, moments, potential,
+        regularity, results, rng,
+    )
+    for name in module.__all__
+] + ["__version__"]

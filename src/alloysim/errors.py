@@ -1,5 +1,14 @@
 """Exception hierarchy shared across the package."""
 
+__all__ = [
+    "AlloysimError",
+    "ValidationError",
+    "NumericalError",
+    "ConstantUndefinedError",
+    "NoDensityError",
+    "NonintegrableError",
+]
+
 
 class AlloysimError(Exception):
     """Base class for all package errors."""

@@ -35,7 +35,7 @@ from .lattice import (
 from .measures import density_norms
 from .model import AlloyModel
 from .potential import convolution_inverse_norm, uniform_bound_constants, vanishing_order
-from .results import Estimate
+from .results import Estimate, write_csv
 
 __all__ = [
     "fractional_moment",
@@ -141,10 +141,12 @@ def _green_rows(
 
     ``g[i, j, k, c] = G(z; sites[k], cols[c])`` for realization ``first + i``
     at ``lams[j]``, filled while ``first + i < counts[j]`` and nan after.  A
-    complex ``z`` on a chain takes the batched kernel over blocks of fields;
-    otherwise each realization is solved densely and reduced as a one-row
-    block inside its draw, so that a real energy hitting the spectrum redraws
-    only that stream.  ``reduce`` itself is never redrawn.
+    complex ``z`` on a chain takes the batched kernel over blocks of fields,
+    and ``reduce`` runs on each block after its draws, so nothing it raises
+    is redrawn.  Otherwise each realization is solved densely and reduced as
+    a one-row block inside its draw: a ``NumericalError`` from the solve or
+    from ``reduce`` (a real energy hitting the spectrum) redraws only that
+    stream, except ``_InvariantViolation``, which propagates at once.
     """
     shape = (len(lams), len(sites), len(cols))
     nan = complex(np.nan, np.nan)
@@ -252,13 +254,10 @@ class DecayProfile:
     s: float
 
     def to_csv(self, path) -> None:
-        import csv
-
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["distance", "value", "stderr"])
-            for d, est in zip(self.distances, self.estimates):
-                writer.writerow([int(d), repr(est.value), repr(est.stderr)])
+        write_csv(
+            path, ["distance", "value", "stderr"],
+            [(d, est.value, est.stderr) for d, est in zip(self.distances, self.estimates)],
+        )
 
 
 def green_decay_profile(
@@ -624,14 +623,9 @@ def fvc_probability(
         return 1.0 if np.all(np.abs(inv[ii, jj]) <= threshold) else 0.0
 
     values, redraws = _realizations(model, volume, n_samples, master_seed, reduce)
-    arr = np.asarray(values)
-    p = float(arr.mean())
-    return Estimate(
-        value=p,
-        stderr=float(math.sqrt(max(p * (1 - p), 1e-12) / len(arr))),
-        n_samples=len(arr),
-        master_seed=master_seed,
-        metadata={
+    return Estimate.proportion(
+        np.mean(values), len(values), master_seed,
+        {
             "threshold": threshold,
             "n_pairs": int(len(ii)),
             "redraws": redraws,

@@ -23,7 +23,7 @@ import shutil
 import sys
 import traceback
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace as dc_replace
+from dataclasses import asdict, dataclass, replace as dc_replace
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Callable, Optional
@@ -62,6 +62,7 @@ from .regularity import (
     pinning_certificate,
     uniform_pair_concentration,
 )
+from .results import write_csv
 from .rng import stream_rng
 
 __all__ = [
@@ -127,15 +128,7 @@ class RunManifest:
     files: list
 
     def to_dict(self) -> dict:
-        return {
-            "config_hash": self.config_hash,
-            "kind": self.kind,
-            "seed": self.seed,
-            "version": self.version,
-            "started": self.started,
-            "finished": self.finished,
-            "files": list(self.files),
-        }
+        return asdict(self)
 
 
 def _canonical_hash(semantic: dict) -> str:
@@ -589,11 +582,8 @@ def _run_wegner(cfg: ExperimentConfig, outdir: Path):
         for a, b in zip(per_width, per_width[1:])
     ]
     drift = max(steps) if steps else 0.0
-    with open(outdir / "wegner.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["width", "value", "stderr", "per_unit_width"])
-        for r in rows:
-            writer.writerow([repr(r["width"]), repr(r["value"]), repr(r["stderr"]), repr(r["per_unit_width"])])
+    header = ["width", "value", "stderr", "per_unit_width"]
+    write_csv(outdir / "wegner.csv", header, [[r[k] for k in header] for r in rows])
     results = {"rows": rows, "ratio_drift": drift}
     if "ratio_tolerance" in p:
         results["passed"] = bool(drift <= p["ratio_tolerance"])
@@ -1093,13 +1083,9 @@ def emit_plot_data(results_dir) -> int:
                 dst = plot_dir / f"{run_dir.name}_decay.csv"
                 with open(src) as fh:
                     rows = list(csv.reader(fh))[1:]
-                with open(dst, "w", newline="") as fh:
-                    writer = csv.writer(fh)
-                    writer.writerow(["distance", "log_value"])
-                    for dist, value, _ in rows:
-                        v = float(value)
-                        if v > 0:
-                            writer.writerow([dist, repr(math.log(v))])
+                write_csv(dst, ["distance", "log_value"], [
+                    [dist, math.log(float(value))] for dist, value, _ in rows if float(value) > 0
+                ])
             else:
                 dst = plot_dir / f"{run_dir.name}_{Path(src_name).stem}.csv"
                 shutil.copyfile(src, dst)

@@ -10,9 +10,8 @@ Poisson law.
 
 from __future__ import annotations
 
-import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
@@ -22,6 +21,7 @@ from .errors import NumericalError, ValidationError
 from .field import sample_field
 from .lattice import FiniteVolume, assemble, chain_count, spectrum
 from .model import AlloyModel
+from .results import write_csv
 
 __all__ = [
     "IdsTable",
@@ -72,11 +72,7 @@ class IdsTable:
         return float(np.max(np.diff(self.energies)))
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["energy", "ids"])
-            for e, v in zip(self.energies, self.values):
-                writer.writerow([repr(float(e)), repr(float(v))])
+        write_csv(path, ["energy", "ids"], zip(self.energies, self.values))
 
 
 def _spectra(model: AlloyModel, volume: FiniteVolume, n_realizations: int, master_seed: int):
@@ -371,37 +367,19 @@ class PoissonReport:
         )
 
     def gap_histogram_to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["gap_left", "gap_right", "density", "exp1_reference"])
-            for j in range(len(self.gap_density)):
-                writer.writerow(
-                    [
-                        repr(float(self.gap_bin_edges[j])),
-                        repr(float(self.gap_bin_edges[j + 1])),
-                        repr(float(self.gap_density[j])),
-                        repr(float(self.gap_reference[j])),
-                    ]
-                )
+        edges = self.gap_bin_edges
+        write_csv(
+            path, ["gap_left", "gap_right", "density", "exp1_reference"],
+            zip(edges[:-1], edges[1:], self.gap_density, self.gap_reference),
+        )
 
     def to_dict(self) -> dict:
-        return {
-            "window": list(self.window),
-            "n_realizations": self.n_realizations,
-            "n_windows": self.n_windows,
-            "count_mean": self.count_mean,
-            "count_variance": self.count_variance,
-            "variance_ratio": self.variance_ratio,
-            "count_histogram": self.count_histogram,
-            "chi_square": self.chi_square,
-            "chi_square_dof": self.chi_square_dof,
-            "chi_square_pvalue": self.chi_square_pvalue,
-            "n_gaps": self.n_gaps,
-            "ks_statistic": self.ks_statistic,
-            "ks_critical_1pct": self.ks_critical_1pct,
-            "poissonian": self.poissonian,
-            "warnings": list(self.warnings),
-        }
+        """JSON-ready summary: every field but the gap histogram arrays,
+        plus the ``poissonian`` verdict."""
+        out = asdict(self)
+        for name in ("gap_bin_edges", "gap_density", "gap_reference"):
+            del out[name]
+        return {**out, "poissonian": self.poissonian}
 
 
 def _ks_exponential(gaps: np.ndarray) -> float:

@@ -11,6 +11,7 @@ contribute 0.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -142,10 +143,12 @@ def build_volume(
 
 @dataclass
 class FiniteVolumeOperator:
-    """Assembled operator: dense symmetric matrix plus its ingredients."""
+    """Assembled operator: the diagonal ``lam * field`` on a volume, whose
+    hopping is -1 between l1 neighbours.  The dense symmetric ``matrix`` is
+    built on first read, so chain paths that need only the diagonal never
+    allocate it."""
 
     volume: FiniteVolume
-    matrix: np.ndarray
     lam: float
     diagonal: np.ndarray
     _evals: Optional[np.ndarray] = dc_field(default=None, repr=False)
@@ -154,6 +157,17 @@ class FiniteVolumeOperator:
     def size(self) -> int:
         return len(self.volume)
 
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        n = self.size
+        mat = np.zeros((n, n))
+        pairs = self.volume.neighbor_pairs()
+        if len(pairs):
+            mat[pairs[:, 0], pairs[:, 1]] = -1.0
+            mat[pairs[:, 1], pairs[:, 0]] = -1.0
+        mat[np.arange(n), np.arange(n)] = self.diagonal
+        return mat
+
     def norm_bound(self) -> float:
         """Cheap upper bound on the operator norm (row-sum bound)."""
         return float(2 * self.volume.dimension + np.abs(self.diagonal).max(initial=0.0))
@@ -161,16 +175,8 @@ class FiniteVolumeOperator:
 
 def assemble(realization, lam: float) -> FiniteVolumeOperator:
     """Operator for one field realization at disorder strength ``lam``."""
-    vol = realization.volume
-    n = len(vol)
     diag = lam * np.asarray(realization.field, dtype=float)
-    mat = np.zeros((n, n))
-    pairs = vol.neighbor_pairs()
-    if len(pairs):
-        mat[pairs[:, 0], pairs[:, 1]] = -1.0
-        mat[pairs[:, 1], pairs[:, 0]] = -1.0
-    mat[np.arange(n), np.arange(n)] = diag
-    return FiniteVolumeOperator(volume=vol, matrix=mat, lam=float(lam), diagonal=diag)
+    return FiniteVolumeOperator(volume=realization.volume, lam=float(lam), diagonal=diag)
 
 
 def spectrum(op: FiniteVolumeOperator) -> np.ndarray:

@@ -24,6 +24,7 @@ __all__ = [
     "DensityNorms",
     "HolderCheck",
     "density_norms",
+    "declared_holder",
     "holder_parameters",
 ]
 

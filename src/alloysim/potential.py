@@ -18,6 +18,7 @@ from typing import Iterable, Mapping, Optional, Sequence
 import numpy as np
 
 from .errors import ConstantUndefinedError, NumericalError, ValidationError
+from .lattice import build_volume
 from .measures import CouplingMeasure, density_norms
 
 __all__ = [
@@ -306,12 +307,6 @@ def _symbol_min(u: SingleSitePotential, n_grid: int) -> float:
     return float(np.abs(acc).min())
 
 
-def _box_points(dimension: int, radius: int) -> np.ndarray:
-    axes = [np.arange(-radius, radius + 1)] * dimension
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return np.stack([m.ravel() for m in mesh], axis=1)
-
-
 def convolution_inverse_norm(
     u: SingleSitePotential,
     tol: float = 1e-6,
@@ -346,7 +341,7 @@ def convolution_inverse_norm(
             raise ValidationError("max_points too small for radius 4")
     history: list[float] = []
     for radius in radii:
-        pts = _box_points(u.dimension, radius)
+        pts = build_volume(u.dimension, radius).points
         diff = pts[:, None, :] - pts[None, :, :]
         mat = np.zeros((len(pts), len(pts)))
         for pt, val in zip(u.points, u.values):

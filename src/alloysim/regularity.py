@@ -28,7 +28,7 @@ from .lattice import build_volume
 from .measures import CouplingMeasure
 from .model import AlloyModel
 from .potential import SingleSitePotential
-from .results import Estimate
+from .results import Estimate, write_csv
 from .rng import stream_rng
 
 __all__ = [
@@ -48,6 +48,7 @@ __all__ = [
     "Ma1GramIdentities",
     "ma1_gram_identities",
     "condition_ma1_center",
+    "condition_ma1_center_direct",
 ]
 
 
@@ -128,14 +129,9 @@ def _concentration(model: AlloyModel, site, windows, n_samples: int, master_seed
             values, grid, side="left"
         )
         best = int(np.argmax(counts))
-        p = counts[best] / n_samples
-        out.append(Estimate(
-            value=float(p),
-            stderr=float(math.sqrt(max(p * (1 - p), 1e-12) / n_samples)),
-            n_samples=n_samples,
-            master_seed=master_seed,
-            metadata={"eps": eps, "a_step": a_step, "argmax_a": float(grid[best]),
-                      "site": list(site_pt)},
+        out.append(Estimate.proportion(
+            counts[best] / n_samples, n_samples, master_seed,
+            {"eps": eps, "a_step": a_step, "argmax_a": float(grid[best]), "site": list(site_pt)},
         ))
     return out
 
@@ -150,14 +146,8 @@ class ConcentrationCurve:
     mode: str  # "exact" or "empirical"
 
     def to_csv(self, path) -> None:
-        import csv
-
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["eps", "value", "stderr"])
-            for i, e in enumerate(self.eps):
-                err = "" if self.stderr is None else repr(float(self.stderr[i]))
-                writer.writerow([repr(float(e)), repr(float(self.values[i])), err])
+        stderr = [None] * len(self.eps) if self.stderr is None else self.stderr
+        write_csv(path, ["eps", "value", "stderr"], zip(self.eps, self.values, stderr))
 
 
 def concentration_curve(
@@ -350,13 +340,9 @@ def conditional_concentration_mc(
 
     eta = couplings @ w_target
     inside = (eta >= lo_t) & (eta <= hi_t)
-    p = float(np.mean(inside))
-    freq = Estimate(
-        value=p,
-        stderr=float(math.sqrt(max(p * (1 - p), 1e-12) / len(eta))),
-        n_samples=len(eta),
-        master_seed=master_seed,
-        metadata={
+    freq = Estimate.proportion(
+        np.mean(inside), len(eta), master_seed,
+        {
             "interval": [lo_t, hi_t],
             "sampler": sampler,
             "acceptance_rate": acceptance,
@@ -627,9 +613,6 @@ class GaussianConditional:
             raise NumericalError(f"conditional variance {self.variance!r} is negative")
         if self.variance < 0:
             object.__setattr__(self, "variance", 0.0)
-
-    def to_dict(self) -> dict:
-        return {"mean": self.mean, "variance": self.variance, "provenance": self.provenance}
 
 
 def condition_gaussian_linear(

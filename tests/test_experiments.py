@@ -588,7 +588,9 @@ def _objects(obj, prefix=()):
 )
 @given(data=st.data())
 def test_mutated_configs_load_or_fail_validation(tmp_path, data):
-    """One mutated param never escapes load_config as anything but ValidationError."""
+    """One mutated param never escapes load_config as anything but
+    ValidationError, and ``run`` rejects the same config with exit 2 and
+    writes nothing."""
     path = data.draw(st.sampled_from(ACCEPTANCE), label="config")
     payload = json.loads(path.read_text())
     params = copy.deepcopy(payload["params"])
@@ -612,7 +614,9 @@ def test_mutated_configs_load_or_fail_validation(tmp_path, data):
     try:
         load_config(cfg)
     except al.ValidationError:
-        pass
+        out = tmp_path / "out"
+        assert run(cfg, out=str(out)) == 2
+        assert not out.exists()
 
 
 class TestCli:

@@ -102,6 +102,16 @@ class TestAssembly:
         op = diag_operator(np.linspace(-1, 1, 6))
         np.testing.assert_array_equal(op.matrix, op.matrix.T)
 
+    def test_chain_counts_never_build_the_matrix(self, flagship_model, monkeypatch):
+        def dense(op):
+            raise AssertionError(f"dense {op.size} x {op.size} matrix built on a chain")
+
+        monkeypatch.setattr(al.FiniteVolumeOperator, "matrix", property(dense))
+        vol = build_volume(1, radius=6)
+        al.wegner_count(flagship_model, vol, [(9.0, 11.0)], 5, 0)
+        al.two_level_probability(flagship_model, vol, (9.0, 11.0), 5, 0)
+        al.ids_estimate(flagship_model, vol, 5, 0, n_grid=11)
+
 
 class TestSpectrum:
     def test_free_chain_closed_form(self):
