@@ -1056,8 +1056,10 @@ def emit_plot_data(results_dir) -> int:
 
     Every CSV a run's manifest lists is copied as ``<run>_<stem>.csv``,
     except decay profiles, which become (distance, log value) tables named
-    ``<run>_decay.csv``.  Runs without a manifest are skipped (incomplete);
-    runs whose series files are missing are listed but not fatal.
+    ``<run>_decay.csv``.  ``<run>`` is the run's path below ``results_dir``
+    with its parts joined by ``__``, so runs of the same name in different
+    subfolders keep separate files.  Runs without a manifest are skipped
+    (incomplete); runs whose series files are missing are listed but not fatal.
     """
     root = Path(results_dir)
     plot_dir = root / "plot_data"
@@ -1073,6 +1075,7 @@ def emit_plot_data(results_dir) -> int:
         except (OSError, json.JSONDecodeError):
             continue
         files = data.get("files", []) if isinstance(data, dict) else []
+        run_name = "__".join(run_dir.relative_to(root).parts) or run_dir.name
         for src_name in [f for f in files if isinstance(f, str) and f.endswith(".csv")]:
             src = run_dir / src_name
             if not src.exists():
@@ -1080,14 +1083,14 @@ def emit_plot_data(results_dir) -> int:
                 continue
             plot_dir.mkdir(parents=True, exist_ok=True)
             if src_name == "profile.csv":
-                dst = plot_dir / f"{run_dir.name}_decay.csv"
+                dst = plot_dir / f"{run_name}_decay.csv"
                 with open(src) as fh:
                     rows = list(csv.reader(fh))[1:]
                 write_csv(dst, ["distance", "log_value"], [
                     [dist, math.log(float(value))] for dist, value, _ in rows if float(value) > 0
                 ])
             else:
-                dst = plot_dir / f"{run_dir.name}_{Path(src_name).stem}.csv"
+                dst = plot_dir / f"{run_name}_{Path(src_name).stem}.csv"
                 shutil.copyfile(src, dst)
             emitted.append(str(dst))
     for path in emitted:

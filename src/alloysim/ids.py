@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy import stats as sps
+from scipy.special import chdtrc, gammaln, pdtrc, xlogy
 
 from .errors import NumericalError, ValidationError
 from .field import sample_field
@@ -93,6 +93,10 @@ def _default_grid(model: AlloyModel, pooled: np.ndarray, n_points: int) -> np.nd
     return np.linspace(lo, hi, n_points)
 
 
+def _finite_increasing(grid: np.ndarray) -> bool:
+    return bool(np.all(np.isfinite(grid)) and np.all(np.diff(grid) > 0))
+
+
 def ids_estimate(
     model: AlloyModel,
     volume: FiniteVolume,
@@ -111,8 +115,10 @@ def ids_estimate(
         raise ValidationError("need at least one realization")
     if energy_grid is not None:
         energy_grid = np.asarray(energy_grid, dtype=float)
-        if energy_grid.ndim != 1 or len(energy_grid) < 2 or np.any(np.diff(energy_grid) <= 0):
-            raise ValidationError("energy grid must be one-dimensional and strictly increasing")
+        if energy_grid.ndim != 1 or len(energy_grid) < 2 or not _finite_increasing(energy_grid):
+            raise ValidationError(
+                "energy grid must be one-dimensional, finite and strictly increasing"
+            )
     pooled = np.sort(np.concatenate(list(_spectra(model, volume, n_realizations, master_seed))))
     if energy_grid is None:
         energy_grid = _default_grid(model, pooled, n_grid)
@@ -164,9 +170,9 @@ def ids_positivity_probe(
     when no constant above ``c_floor`` works.  The log-log slope against
     epsilon is fitted whenever at least two increments are positive.
     """
-    eps = np.asarray(sorted(eps_grid), dtype=float)
-    if len(eps) == 0 or eps[0] <= 0:
-        raise ValidationError("epsilon grid must be positive")
+    eps = np.sort(np.asarray(eps_grid, dtype=float))
+    if eps.ndim != 1 or len(eps) == 0 or eps[0] <= 0 or not _finite_increasing(eps):
+        raise ValidationError("epsilon grid must be positive, finite and without repeats")
     if eps[0] < ids.resolution:
         raise ValidationError(
             f"smallest epsilon {eps[0]:g} is below the table resolution {ids.resolution:g}"
@@ -447,8 +453,10 @@ def poisson_statistics(
     # chi-square of the count histogram against Poisson(1), merging the tail
     kmax = int(pooled.max())
     n_pool = len(pooled)
-    expected = [n_pool * sps.poisson.pmf(k, 1.0) for k in range(kmax + 1)]
-    tail = n_pool * sps.poisson.sf(kmax, 1.0)
+    # Poisson(1) pmf and tail, and the chi-square tail below, in the scipy.special
+    # forms scipy.stats evaluates, so the statistics match it bit for bit
+    expected = [n_pool * np.exp(xlogy(k, 1.0) - gammaln(k + 1) - 1.0) for k in range(kmax + 1)]
+    tail = n_pool * pdtrc(kmax, 1.0)
     observed = [int(np.sum(pooled == k)) for k in range(kmax + 1)]
     expected[-1] += tail
     while len(expected) > 2 and expected[-1] < 5.0:
@@ -460,7 +468,7 @@ def poisson_statistics(
         sum((o - e) ** 2 / e for o, e in zip(observed, expected) if e > 0)
     )
     dof = max(len(expected) - 1, 1)
-    pvalue = float(sps.chi2.sf(chi2, dof))
+    pvalue = float(chdtrc(dof, chi2))
     histogram = [
         [k, observed[k], expected[k]] for k in range(len(observed))
     ]

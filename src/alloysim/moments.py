@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
 from .errors import NonintegrableError, NumericalError, ValidationError
 from .measures import CouplingMeasure, declared_holder, holder_parameters
@@ -58,6 +57,11 @@ def _finite_window(measure: CouplingMeasure) -> tuple[float, float]:
 
 
 def _quad(f, a, b, points=None) -> tuple[float, float]:
+    # imported here, not at module top: scipy.integrate (and the scipy.optimize
+    # it pulls in) would otherwise load on every run, and only the quadrature
+    # checks use it
+    from scipy import integrate
+
     if a >= b:
         return 0.0, 0.0
     kwargs: dict = {"epsabs": _QUAD_TOL, "epsrel": _QUAD_TOL, "limit": 300}

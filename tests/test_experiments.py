@@ -540,6 +540,23 @@ class TestEmitPlotData:
         assert float(lines[1].split(",")[1]) == pytest.approx(math.log(first_val))
 
 
+    def test_runs_of_one_name_in_different_folders_keep_separate_files(self, tmp_path, capsys):
+        runs = tmp_path / "runs"
+        for parent, value in [("a", "0.5"), ("b", "0.7")]:
+            run_dir = runs / parent / "decay"
+            run_dir.mkdir(parents=True)
+            (run_dir / "spectrum.csv").write_text(f"e\n{value}\n")
+            (run_dir / "manifest.json").write_text(json.dumps({"files": ["spectrum.csv"]}))
+        assert emit_plot_data(runs) == 0
+        capsys.readouterr()
+        plot = runs / "plot_data"
+        assert sorted(p.name for p in plot.iterdir()) == [
+            "a__decay_spectrum.csv",
+            "b__decay_spectrum.csv",
+        ]
+        assert (plot / "a__decay_spectrum.csv").read_text() == "e\n0.5\n"
+        assert (plot / "b__decay_spectrum.csv").read_text() == "e\n0.7\n"
+
     def test_series_follow_the_manifest_file_list(self, tmp_path, capsys):
         run_dir = tmp_path / "runs" / "custom"
         run_dir.mkdir(parents=True)

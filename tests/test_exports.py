@@ -1,5 +1,9 @@
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -36,3 +40,28 @@ def test_every_public_name_is_declared_in_its_module():
             if not name.startswith("_") and getattr(obj, "__module__", None) == mod.__name__
         }
         assert own <= set(mod.__all__), f"{mod.__name__} defines undeclared {sorted(own - set(mod.__all__))}"
+
+
+# scipy subpackages that ``import alloysim`` must not load: no realization loop
+# uses them, and loading them at import doubled start-up.  The quadrature checks
+# import ``scipy.integrate`` (which loads ``scipy.optimize``) on first use.
+COLD_SUBPACKAGES = ["scipy.stats", "scipy.integrate", "scipy.optimize"]
+
+IMPORT_GUARD = f"""
+import sys
+import alloysim, alloysim.experiments, alloysim.cli
+print([m for m in {COLD_SUBPACKAGES!r} if m in sys.modules])
+check = alloysim.inverse_moment_check(alloysim.CouplingMeasure.uniform(0.0, 1.0), s=0.5, b=2.0)
+print(check.holds)
+"""
+
+
+def test_import_loads_no_cold_scipy_subpackage():
+    # a fresh interpreter: the test modules themselves import scipy.integrate
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", IMPORT_GUARD], env=env, capture_output=True, text=True, check=True
+    )
+    assert proc.stdout.splitlines() == ["[]", "True"]

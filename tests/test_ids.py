@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+from scipy import special, stats
 
 import alloysim as al
 from alloysim import (
@@ -79,6 +80,11 @@ class TestIdsEstimate:
         with pytest.raises(al.ValidationError):
             ids_estimate(flagship_model, vol, 0, 0)
 
+    @pytest.mark.parametrize("grid", [[0.0, np.nan, 1.0], [0.0, 1.0, np.inf], [-np.inf, 0.0]])
+    def test_non_finite_grid_rejected(self, flagship_model, grid):
+        with pytest.raises(al.ValidationError, match="finite"):
+            ids_estimate(flagship_model, build_volume(1, radius=3), 2, 0, energy_grid=grid)
+
     def test_median_requires_crossing(self):
         table = IdsTable(
             energies=np.array([0.0, 1.0]),
@@ -143,6 +149,19 @@ class TestPositivityProbe:
         )
         with pytest.raises(al.ValidationError):
             ids_positivity_probe(table, 0.5, 0.0, [(1.0, -1.0)], eps_grid=[0.01])
+
+    @pytest.mark.parametrize(
+        "eps_grid", [[np.nan, 0.5], [0.5, np.inf], [0.2, 0.5, 0.2], [], [-0.1, 0.5]]
+    )
+    def test_malformed_epsilon_grid_rejected(self, eps_grid):
+        table = IdsTable(
+            energies=np.linspace(0, 1, 101),
+            values=np.linspace(0, 1, 101),
+            n_realizations=1,
+            volume_points=10,
+        )
+        with pytest.raises(al.ValidationError, match="epsilon grid"):
+            ids_positivity_probe(table, 0.5, 0.0, [(1.0, -1.0)], eps_grid=eps_grid)
 
 
 class TestRescaling:
@@ -345,3 +364,42 @@ class TestPoissonStatistics:
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "gap_left,gap_right,density,exp1_reference"
         assert len(lines) > 2
+
+
+class TestSpecialFunctionForms:
+    """``poisson_statistics`` evaluates the Poisson pmf and tail and the
+    chi-square tail through ``scipy.special``; ``scipy.stats`` is the oracle,
+    and the two must agree bit for bit."""
+
+    @pytest.mark.parametrize("k", range(41))
+    def test_poisson_pmf_and_tail(self, k):
+        pmf = np.exp(special.xlogy(k, 1.0) - special.gammaln(k + 1) - 1.0)
+        assert pmf == stats.poisson.pmf(k, 1.0)
+        assert special.pdtrc(k, 1.0) == stats.poisson.sf(k, 1.0)
+
+    @pytest.mark.parametrize("dof", range(1, 13))
+    def test_chi_square_tail(self, dof):
+        for x in [0.0, 1e-8, 0.3, 1.0, 2.5, 7.0, 12.0, 25.0, 60.0, 200.0]:
+            assert special.chdtrc(dof, x) == stats.chi2.sf(x, dof)
+
+    def test_report_matches_scipy_stats(self):
+        spectra = synthetic_poisson_spectra(np.random.default_rng(11), 300)
+        report = poisson_statistics(spectra, window=(-5.0, 5.0))
+        # the chi-square test redone through scipy.stats from the raw counts
+        pooled = np.concatenate(
+            [np.histogram(sp.xi, bins=np.arange(-5.0, 6.0))[0] for sp in spectra]
+        )
+        kmax = int(pooled.max())
+        expected = [len(pooled) * stats.poisson.pmf(k, 1.0) for k in range(kmax + 1)]
+        expected[-1] += len(pooled) * stats.poisson.sf(kmax, 1.0)
+        observed = [int(np.sum(pooled == k)) for k in range(kmax + 1)]
+        while len(expected) > 2 and expected[-1] < 5.0:
+            e, o = expected.pop(), observed.pop()
+            expected[-1] += e
+            observed[-1] += o
+        chi2 = float(sum((o - e) ** 2 / e for o, e in zip(observed, expected)))
+        histogram = [[k, o, e] for k, (o, e) in enumerate(zip(observed, expected))]
+        assert report.count_histogram == histogram
+        assert report.chi_square == chi2
+        assert report.chi_square_dof == len(expected) - 1
+        assert report.chi_square_pvalue == float(stats.chi2.sf(chi2, len(expected) - 1))
