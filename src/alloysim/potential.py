@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product as iter_product
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -42,6 +43,10 @@ class SingleSitePotential:
     ``values`` the matching nonzero coefficients.  ``decay_cutoff`` records
     the truncation threshold when the profile came from an exponentially
     decaying family (0.0 means the profile is exact).
+
+    The sign-structure and certificate constants are cached on first read
+    (the fields are frozen, so they cannot go stale); equality and hashing
+    see the fields only.
     """
 
     dimension: int
@@ -68,11 +73,11 @@ class SingleSitePotential:
     def l1_norm(self) -> float:
         return float(sum(abs(v) for v in self.values))
 
-    @property
+    @cached_property
     def max_abs(self) -> float:
         return float(max(abs(v) for v in self.values))
 
-    @property
+    @cached_property
     def min_abs(self) -> float:
         return float(min(abs(v) for v in self.values))
 
@@ -86,7 +91,7 @@ class SingleSitePotential:
 
     # -- one-dimensional sign structure -------------------------------------
 
-    @property
+    @cached_property
     def contiguous_from_zero(self) -> bool:
         """True when d = 1 and the support is exactly {0, ..., n-1}."""
         if self.dimension != 1:
@@ -94,24 +99,24 @@ class SingleSitePotential:
         ks = sorted(p[0] for p in self.points)
         return ks == list(range(len(ks)))
 
-    @property
+    @cached_property
     def support_pos(self) -> tuple[int, ...]:
         if self.dimension != 1:
             raise ValidationError("sign decomposition is defined for d = 1 profiles")
         return tuple(p[0] for p, v in zip(self.points, self.values) if v > 0)
 
-    @property
+    @cached_property
     def support_neg(self) -> tuple[int, ...]:
         if self.dimension != 1:
             raise ValidationError("sign decomposition is defined for d = 1 profiles")
         return tuple(p[0] for p, v in zip(self.points, self.values) if v < 0)
 
-    @property
+    @cached_property
     def positive_sum(self) -> float:
         """Sum of the positive coefficients (top of the field's support)."""
         return float(sum(v for v in self.values if v > 0))
 
-    @property
+    @cached_property
     def pinned_top(self) -> Optional[tuple[int, ...]]:
         """Indices whose couplings a top-band event pins near the upper
         support end; ``None`` unless the support is {0, ..., n-1} in d = 1.
@@ -131,7 +136,7 @@ class SingleSitePotential:
             pinned = shifted
         return tuple(sorted(pinned))
 
-    @property
+    @cached_property
     def pinned_bottom(self) -> Optional[tuple[int, ...]]:
         """Complement of :attr:`pinned_top` inside the support."""
         top = self.pinned_top
@@ -139,7 +144,7 @@ class SingleSitePotential:
             return None
         return tuple(sorted(set(range(self.n_points)) - set(top)))
 
-    @property
+    @cached_property
     def certificate_center(self) -> float:
         """Coefficient mass on the top-pinned set."""
         top = self.pinned_top
@@ -148,7 +153,7 @@ class SingleSitePotential:
         lookup = self.as_dict()
         return float(sum(lookup[(k,)] for k in top))
 
-    @property
+    @cached_property
     def certificate_slope(self) -> float:
         """Interval half-width per unit band width: n * max|u| / min|u|."""
         if not self.contiguous_from_zero:

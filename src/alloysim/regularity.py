@@ -282,6 +282,9 @@ def conditional_concentration_mc(
 
     Raises
     ------
+    ValidationError
+        For a malformed target, event or sampler choice, and for gibbs with
+        ``chains < 1``, ``burn_in < 0`` or ``thin < 1``, before any draw.
     NumericalError
         When rejection exhausts ``max_draws`` before ``n_target`` acceptances
         (the message suggests widening the event or switching sampler).
@@ -330,6 +333,10 @@ def conditional_concentration_mc(
     elif sampler == "gibbs":
         if model.measure.kind != "gaussian":
             raise ValidationError("the gibbs sampler requires a gaussian measure")
+        settings = (("chains", chains, 1), ("burn_in", burn_in, 0), ("thin", thin, 1))
+        for name, value, least in settings:
+            if value < least:
+                raise ValidationError(f"gibbs {name} must be at least {least}, got {value!r}")
         couplings = _gibbs_sample_event(
             model.measure, w_event, ev_lo, ev_hi, n_target, master_seed, chains, burn_in, thin
         )
@@ -436,6 +443,12 @@ def _gibbs_sample_event(measure, w_event, ev_lo, ev_hi, n_target, seed, chains, 
     rather than in O(1/width**2) as coupling-space updates would.  Stage 2
     lifts each kept field vector to couplings exactly: a prior draw plus the
     Gram-solved correction realizes the conditional Gaussian law.
+
+    Stream contract: everything is drawn from ``stream_rng(seed, 0)``.  Stage
+    1 runs ``burn_in + ceil(n_target / chains) * thin`` sweeps, and each sweep
+    consumes one ``(n_con, chains)`` block of uniforms, row ``i`` feeding the
+    update of coordinate ``i`` in every chain, coordinates in order.  Stage 2
+    then consumes one ``(n_target, m)`` block of standard normals.
     """
     center = measure.params["mean"]
     sigma = math.sqrt(measure.params["variance"])
@@ -452,24 +465,52 @@ def _gibbs_sample_event(measure, w_event, ev_lo, ev_hi, n_target, seed, chains, 
     rng = stream_rng(seed, 0)
 
     y = np.tile(0.5 * (ev_lo + ev_hi), (chains, 1))
+    dev = y - y_mean
     kept_per_chain = -(-n_target // chains)
     kept_y = np.empty((kept_per_chain, chains, n_con))
-    kept = 0
-    sweep = 0
-    tiny = 1e-15
-    while kept < kept_per_chain:
-        for i in range(n_con):
-            cross = (y - y_mean) @ precision[i] - precision[i, i] * (y[:, i] - y_mean[i])
-            mu = y_mean[i] - cross / precision[i, i]
-            za = ndtr((ev_lo[i] - mu) / cond_sd[i])
-            zb = ndtr((ev_hi[i] - mu) / cond_sd[i])
-            q = np.clip(za + rng.random(chains) * (zb - za), tiny, 1 - tiny)
-            new = mu + cond_sd[i] * ndtri(q)
-            y[:, i] = np.clip(new, ev_lo[i], ev_hi[i])  # CDF round-off guard
-        sweep += 1
+    # Every step of an update writes into these buffers; the operations and
+    # their order are those of
+    #   mu = y_mean_i - (dev @ P_i - P_ii * dev_i) / P_ii
+    #   q = clip(za + u * (zb - za), tiny, 1 - tiny)
+    #   y_i = clip(mu + sd_i * ndtri(q), lo_i, hi_i)
+    # with (za, zb) = ndtr(((lo_i, hi_i) - mu) / sd_i).  ``dev = y - y_mean``
+    # is kept current one column at a time.
+    u = np.empty((n_con, chains))
+    mu = np.empty(chains)
+    tmp = np.empty(chains)
+    z = np.empty((2, chains))
+    za, zb = z
+    tiny, one_minus = np.asarray(1e-15), np.asarray(1 - 1e-15)
+    bounds = np.stack([ev_lo, ev_hi])
+    # 0-d arrays broadcast faster than Python floats and hold the same doubles
+    coords = [
+        (precision[i], np.asarray(precision[i, i]), np.asarray(y_mean[i]),
+         np.asarray(cond_sd[i]), bounds[:, i:i + 1], np.asarray(ev_lo[i]),
+         np.asarray(ev_hi[i]), y[:, i], dev[:, i], u[i])
+        for i in range(n_con)
+    ]
+    for sweep in range(1, burn_in + kept_per_chain * thin + 1):
+        rng.random(out=u)
+        for prec_i, p_ii, ym_i, sd_i, bnd_i, lo_i, hi_i, y_i, dev_i, u_i in coords:
+            np.dot(dev, prec_i, out=mu)
+            np.multiply(dev_i, p_ii, out=tmp)
+            np.subtract(mu, tmp, out=mu)
+            np.divide(mu, p_ii, out=mu)
+            np.subtract(ym_i, mu, out=mu)
+            np.subtract(bnd_i, mu, out=z)
+            np.divide(z, sd_i, out=z)
+            ndtr(z, out=z)
+            np.subtract(zb, za, out=tmp)
+            np.multiply(u_i, tmp, out=tmp)
+            np.add(za, tmp, out=tmp)
+            np.minimum(np.maximum(tmp, tiny, out=tmp), one_minus, out=tmp)
+            ndtri(tmp, out=tmp)
+            np.multiply(tmp, sd_i, out=tmp)
+            np.add(mu, tmp, out=tmp)
+            np.minimum(np.maximum(tmp, lo_i, out=tmp), hi_i, out=y_i)  # CDF round-off guard
+            np.subtract(y_i, ym_i, out=dev_i)
         if sweep > burn_in and (sweep - burn_in) % thin == 0:
-            kept_y[kept] = y
-            kept += 1
+            kept_y[(sweep - burn_in) // thin - 1] = y
     ys = kept_y.reshape(-1, n_con)[:n_target]
 
     draws = center + sigma * rng.standard_normal((len(ys), m))

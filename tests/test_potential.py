@@ -96,6 +96,24 @@ class TestCertificate:
         assert u.support_neg == (0, 2)
         assert u.positive_sum == pytest.approx(2.0)
 
+    def test_cached_constants_match_fresh_values(self):
+        names = (
+            "contiguous_from_zero", "support_pos", "support_neg", "positive_sum",
+            "pinned_top", "pinned_bottom", "certificate_center", "certificate_slope",
+            "max_abs", "min_abs",
+        )
+        entries = [((0,), -1.0), ((1,), 2.0), ((2,), -0.5)]
+        u, twin = build_single_site(1, entries), build_single_site(1, entries)
+        first = {name: getattr(u, name) for name in names}
+        assert set(names) <= set(vars(u))
+        for name in names:
+            fresh = vars(al.SingleSitePotential)[name].func(u)
+            assert getattr(u, name) == first[name] == fresh
+        # the cache lives outside the fields: equal profiles stay equal
+        assert u == twin and twin == u
+        assert hash(u) == hash(twin)
+        assert len({u, twin}) == 1
+
 
 class TestVanishingOrder:
     def test_delta_profile_order_zero(self, delta_profile):

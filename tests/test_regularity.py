@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import ndtr, ndtri
 
 import alloysim as al
 from alloysim import (
@@ -17,6 +18,52 @@ from alloysim import (
     pinning_certificate,
     uniform_pair_concentration,
 )
+from alloysim.errors import NumericalError
+from alloysim.regularity import _gibbs_sample_event
+from alloysim.rng import stream_rng
+
+
+def _reference_gibbs(measure, w_event, ev_lo, ev_hi, n_target, seed, chains, burn_in, thin):
+    """The Gibbs sampler in its plain form, one fresh temporary per step: the
+    oracle the in-place sweep must match bit for bit."""
+    center = measure.params["mean"]
+    sigma = math.sqrt(measure.params["variance"])
+    n_con, m = w_event.shape
+    gram = sigma * sigma * (w_event @ w_event.T)
+    eigs = np.linalg.eigvalsh(gram)
+    if eigs[0] <= 1e-12 * max(1.0, eigs[-1]):
+        raise NumericalError(
+            "pin constraints are linearly dependent; drop the redundant sites"
+        )
+    precision = np.linalg.inv(gram)
+    cond_sd = 1.0 / np.sqrt(np.diag(precision))
+    y_mean = center * (w_event @ np.ones(m))
+    rng = stream_rng(seed, 0)
+
+    y = np.tile(0.5 * (ev_lo + ev_hi), (chains, 1))
+    kept_per_chain = -(-n_target // chains)
+    kept_y = np.empty((kept_per_chain, chains, n_con))
+    kept = 0
+    sweep = 0
+    tiny = 1e-15
+    while kept < kept_per_chain:
+        for i in range(n_con):
+            cross = (y - y_mean) @ precision[i] - precision[i, i] * (y[:, i] - y_mean[i])
+            mu = y_mean[i] - cross / precision[i, i]
+            za = ndtr((ev_lo[i] - mu) / cond_sd[i])
+            zb = ndtr((ev_hi[i] - mu) / cond_sd[i])
+            q = np.clip(za + rng.random(chains) * (zb - za), tiny, 1 - tiny)
+            new = mu + cond_sd[i] * ndtri(q)
+            y[:, i] = np.clip(new, ev_lo[i], ev_hi[i])  # CDF round-off guard
+        sweep += 1
+        if sweep > burn_in and (sweep - burn_in) % thin == 0:
+            kept_y[kept] = y
+            kept += 1
+    ys = kept_y.reshape(-1, n_con)[:n_target]
+
+    draws = center + sigma * rng.standard_normal((len(ys), m))
+    resid = ys - draws @ w_event.T
+    return draws + resid @ np.linalg.solve(gram, sigma * sigma * w_event)
 
 
 class TestExactConcentration:
@@ -162,6 +209,55 @@ class TestConditionalMC:
         closed = condition_ma1_center(1.0, 1.0, right=[-0.2], left=[0.3])
         assert res.eta_mean == pytest.approx(closed.mean, abs=0.08)
         assert res.eta_var == pytest.approx(closed.variance, rel=0.12)
+
+    @pytest.mark.parametrize(
+        "n_con, m, chains, n_target, burn_in, thin",
+        [
+            pytest.param(1, 3, 8, 40, 5, 2, id="one-site"),
+            pytest.param(3, 5, 1, 7, 4, 2, id="one-chain"),
+            pytest.param(4, 6, 5, 23, 3, 2, id="ragged-target"),
+            pytest.param(3, 5, 8, 32, 6, 1, id="thin-1"),
+            pytest.param(3, 5, 8, 32, 0, 3, id="no-burn-in"),
+            pytest.param(6, 9, 16, 90, 7, 3, id="dense-6"),
+        ],
+    )
+    def test_gibbs_matches_reference_bit_for_bit(self, n_con, m, chains, n_target, burn_in, thin):
+        # dense random weights and bands that are not symmetric about the mean
+        rs = np.random.default_rng(1000 * n_con + chains)
+        w_event = rs.normal(size=(n_con, m))
+        lo = rs.normal(size=n_con)
+        hi = lo + rs.uniform(0.05, 1.5, size=n_con)
+        measure = al.CouplingMeasure.gaussian(0.3, 2.0)
+        args = (measure, w_event, lo, hi, n_target, 23, chains, burn_in, thin)
+        out = _gibbs_sample_event(*args)
+        assert out.shape == (n_target, m)
+        assert np.array_equal(out, _reference_gibbs(*args))
+
+    def test_gibbs_matches_reference_on_pinned_chain(self, gaussian01):
+        # the suite's pin event: two-tap chain, sites -5..5 but 0, |tau| band
+        sites = [k for k in range(-5, 6) if k != 0]
+        w_event = np.zeros((len(sites), len(sites) + 2))
+        for row, k in enumerate(sites):
+            w_event[row, k + 5] = w_event[row, k + 6] = 1.0
+        tau = np.full(len(sites), 0.08)
+        args = (gaussian01, w_event, -tau, tau, 600, 5, 64, 20, 3)
+        assert np.array_equal(_gibbs_sample_event(*args), _reference_gibbs(*args))
+
+    @pytest.mark.parametrize("bad", [{"chains": 0}, {"thin": 0}, {"burn_in": -1}])
+    def test_gibbs_rejects_bad_chain_settings_before_drawing(
+        self, two_tap, gaussian01, monkeypatch, bad
+    ):
+        def no_draws(*args):
+            raise AssertionError("a stream was derived before validation")
+
+        monkeypatch.setattr("alloysim.regularity.stream_rng", no_draws)
+        model = AlloyModel(potential=two_tap, measure=gaussian01, lam=1.0)
+        event = PinEvent(sites=((-1,), (1,)), values=(0.3, -0.2), tolerance=0.05)
+        settings = {"chains": 4, "burn_in": 2, "thin": 1, **bad}
+        with pytest.raises(al.ValidationError, match=next(iter(bad))):
+            conditional_concentration_mc(
+                model, 0, (-1.0, 1.0), event, 10, 0, sampler="gibbs", **settings
+            )
 
     def test_gibbs_requires_gaussian(self, flagship_model):
         event = PinEvent(sites=((-1,),), values=(1.0,), tolerance=0.1)
