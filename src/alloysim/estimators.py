@@ -27,6 +27,7 @@ from .field import sample_field
 from .lattice import (
     FiniteVolume,
     _check_not_in_spectrum,
+    as_point,
     assemble,
     chain_green,
     green_column,
@@ -280,8 +281,8 @@ def green_decay_profile(
     if not 0 < s < 1:
         raise ValidationError("moment order s must lie in (0, 1)")
     (ix,) = _require_inside(volume, x)
-    base = np.atleast_1d(np.asarray(x, dtype=int))
-    targets = [base + np.atleast_1d(np.asarray(o, dtype=int)) for o in offsets]
+    base = np.asarray(as_point(x, volume.dimension))
+    targets = [base + as_point(o, volume.dimension) for o in offsets]
     cols = np.asarray(_require_inside(volume, *targets))
     dists = np.asarray([int(np.abs(t - base).sum()) for t in targets])
     z = complex(z)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import FiniteVolume
+from .lattice import FiniteVolume, as_point
 from .measures import CouplingMeasure
 from .potential import SingleSitePotential
 from .rng import stream_rng
@@ -36,7 +36,7 @@ class FieldRealization:
 
     def coupling_at(self, point) -> float:
         """Coupling value at a lattice point (KeyError outside the set)."""
-        key = tuple(int(c) for c in np.atleast_1d(point))
+        key = as_point(point, self.volume.dimension)
         if not hasattr(self, "_cindex"):
             self._cindex = {tuple(p): i for i, p in enumerate(self.coupling_points)}
         return float(self.couplings[self._cindex[key]])

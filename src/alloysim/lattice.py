@@ -10,7 +10,7 @@ contribute 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Sequence
 
@@ -20,6 +20,7 @@ import scipy.linalg
 from .errors import NumericalError, ValidationError
 
 __all__ = [
+    "as_point",
     "FiniteVolume",
     "build_volume",
     "FiniteVolumeOperator",
@@ -31,6 +32,21 @@ __all__ = [
     "chain_count",
     "resolvent_identity_residual",
 ]
+
+
+def as_point(point, dimension: int) -> tuple[int, ...]:
+    """``point`` as a tuple of ``dimension`` ints (a scalar is a 1-d point);
+    anything else is a ``ValidationError``, never a truncation."""
+    try:
+        coords = (point,) if np.ndim(point) == 0 else tuple(point)
+        pt = tuple(int(c) for c in coords)
+    except (TypeError, ValueError, OverflowError):
+        raise ValidationError(f"lattice point {point!r} has non-integer coordinates") from None
+    if len(pt) != dimension:
+        raise ValidationError(f"point {point!r} does not have dimension {dimension}")
+    if pt != coords:
+        raise ValidationError(f"lattice point {point!r} has non-integer coordinates")
+    return pt
 
 
 class FiniteVolume:
@@ -55,8 +71,7 @@ class FiniteVolume:
 
     def index_of(self, point) -> int:
         """Index of a lattice point, or -1 if outside the volume."""
-        key = tuple(int(c) for c in np.atleast_1d(point))
-        return self._index.get(key, -1)
+        return self._index.get(as_point(point, self.dimension), -1)
 
     def __contains__(self, point) -> bool:
         return self.index_of(point) >= 0
@@ -134,9 +149,9 @@ def build_volume(
         mesh = np.meshgrid(*axes, indexing="ij")
         pts = np.stack([m.ravel() for m in mesh], axis=1)
         return FiniteVolume(dimension, pts, kind="box", radius=radius)
-    pts = np.asarray([[int(c) for c in np.atleast_1d(p)] for p in points], dtype=int)
-    if pts.ndim != 2 or pts.shape[1] != dimension:
-        raise ValidationError("explicit points must all have the requested dimension")
+    pts = np.asarray([as_point(p, dimension) for p in points], dtype=int)
+    if not len(pts):
+        raise ValidationError("give at least one explicit point")
     order = np.lexsort(pts.T[::-1])
     return FiniteVolume(dimension, pts[order], kind="explicit")
 
@@ -151,7 +166,6 @@ class FiniteVolumeOperator:
     volume: FiniteVolume
     lam: float
     diagonal: np.ndarray
-    _evals: Optional[np.ndarray] = dc_field(default=None, repr=False)
 
     @property
     def size(self) -> int:
@@ -180,14 +194,10 @@ def assemble(realization, lam: float) -> FiniteVolumeOperator:
 
 
 def spectrum(op: FiniteVolumeOperator) -> np.ndarray:
-    """Eigenvalues only, cached on the operator (tridiagonal fast path)."""
-    if op._evals is None:
-        if op.volume.is_chain and op.size > 1:
-            off = -np.ones(op.size - 1)
-            op._evals = scipy.linalg.eigvalsh_tridiagonal(op.diagonal, off)
-        else:
-            op._evals = np.linalg.eigvalsh(op.matrix)
-    return op._evals
+    """Eigenvalues only (tridiagonal fast path on chains)."""
+    if op.volume.is_chain and op.size > 1:
+        return scipy.linalg.eigvalsh_tridiagonal(op.diagonal, -np.ones(op.size - 1))
+    return np.linalg.eigvalsh(op.matrix)
 
 
 _REAL_GUARD = 1e-12

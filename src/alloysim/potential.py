@@ -19,7 +19,7 @@ from typing import Iterable, Mapping, Optional, Sequence
 import numpy as np
 
 from .errors import ConstantUndefinedError, NumericalError, ValidationError
-from .lattice import build_volume
+from .lattice import as_point, build_volume
 from .measures import CouplingMeasure, density_norms
 
 __all__ = [
@@ -58,7 +58,7 @@ class SingleSitePotential:
         return dict(zip(self.points, self.values))
 
     def value_at(self, point) -> float:
-        return self.as_dict().get(_as_point(point, self.dimension), 0.0)
+        return self.as_dict().get(as_point(point, self.dimension), 0.0)
 
     @property
     def n_points(self) -> int:
@@ -161,18 +161,6 @@ class SingleSitePotential:
         return self.n_points * self.max_abs / self.min_abs
 
 
-def _as_point(point, dimension: int) -> tuple[int, ...]:
-    if np.isscalar(point):
-        point = (point,)
-    pt = tuple(int(c) for c in point)
-    if len(pt) != dimension:
-        raise ValidationError(f"point {point!r} does not have dimension {dimension}")
-    for c, raw in zip(pt, point):
-        if c != raw:
-            raise ValidationError(f"lattice point {point!r} has non-integer coordinates")
-    return pt
-
-
 def build_single_site(
     dimension: int,
     entries: Iterable[tuple],
@@ -190,7 +178,7 @@ def build_single_site(
         entries = entries.items()
     seen: dict[tuple[int, ...], float] = {}
     for point, value in entries:
-        pt = _as_point(point, dimension)
+        pt = as_point(point, dimension)
         val = float(value)
         if not math.isfinite(val) or val == 0.0:
             raise ValidationError(f"profile value at {pt} must be finite and nonzero, got {value!r}")

@@ -24,7 +24,7 @@ from scipy.linalg import cho_factor, cho_solve
 from scipy.special import ndtr, ndtri
 
 from .errors import NumericalError, ValidationError
-from .lattice import build_volume
+from .lattice import as_point, build_volume
 from .measures import CouplingMeasure
 from .model import AlloyModel
 from .potential import SingleSitePotential
@@ -70,7 +70,7 @@ def uniform_pair_concentration(eps):
     return float(out) if np.isscalar(eps) else out
 
 
-def _site_weight_vector(model: AlloyModel, sites) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _site_weight_vector(model: AlloyModel, sites) -> tuple[np.ndarray, np.ndarray]:
     """Coupling points and per-site weight rows for field values at `sites`."""
     vol = build_volume(model.dimension, points=sites)
     coupling_points, gather = vol.coupling_layout(model.potential)
@@ -79,17 +79,7 @@ def _site_weight_vector(model: AlloyModel, sites) -> tuple[np.ndarray, np.ndarra
     for j in range(len(vals)):
         weights[np.arange(len(vol)), gather[j]] += vals[j]
     rows = np.array([vol.index_of(s) for s in sites])
-    return coupling_points, weights[rows], vol.points
-
-
-def _normalize_sites(model: AlloyModel, sites) -> list[tuple[int, ...]]:
-    out = []
-    for s in sites:
-        pt = tuple(int(c) for c in np.atleast_1d(s))
-        if len(pt) != model.dimension:
-            raise ValidationError(f"site {s!r} does not have dimension {model.dimension}")
-        out.append(pt)
-    return out
+    return coupling_points, weights[rows]
 
 
 def concentration_empirical(
@@ -117,8 +107,8 @@ def _concentration(model: AlloyModel, site, windows, n_samples: int, master_seed
             raise ValidationError("window width must be positive")
         if not 0 < a_step <= eps / 10:
             raise ValidationError("need 0 < a_step <= eps/10")
-    (site_pt,) = _normalize_sites(model, [site])
-    _, weights, _ = _site_weight_vector(model, [site_pt])
+    site_pt = as_point(site, model.dimension)
+    _, weights = _site_weight_vector(model, [site_pt])
     rng = stream_rng(master_seed, 0)
     omegas = model.measure.sample(rng, n_samples * weights.shape[1]).reshape(n_samples, -1)
     values = np.sort(omegas @ weights[0])
@@ -253,7 +243,6 @@ def conditional_concentration_mc(
     master_seed: int,
     sampler: str = "auto",
     max_draws: int = 20_000_000,
-    batch: int = 65536,
     chains: int = 256,
     burn_in: int = 300,
     thin: int = 3,
@@ -280,56 +269,65 @@ def conditional_concentration_mc(
     ``auto`` picks stratified for factorizable band events, gibbs for
     gaussian pin events, rejection otherwise.
 
+    Streams: rejection is the box sampler of ``_sample_groups`` with one
+    group holding every site and coupling, stratified with one group per
+    site; batch ``a`` of group ``j`` is 65536 draws from
+    ``stream_rng(master_seed, j, a)``, and couplings in no group come from
+    ``stream_rng(master_seed, len(groups))``.  Gibbs draws from
+    ``stream_rng(master_seed, 0)``.
+
     Raises
     ------
     ValidationError
-        For a malformed target, event or sampler choice, and for gibbs with
+        For a malformed target, site, event or sampler choice, for rejection
+        or stratified with ``max_draws < 1``, and for gibbs with
         ``chains < 1``, ``burn_in < 0`` or ``thin < 1``, before any draw.
     NumericalError
-        When rejection exhausts ``max_draws`` before ``n_target`` acceptances
-        (the message suggests widening the event or switching sampler).
+        When rejection or stratified sampling reaches ``max_draws`` draws
+        before ``n_target`` acceptances (the message suggests widening the
+        event or switching sampler).
     """
     if n_target <= 0:
         raise ValidationError("n_target must be positive")
     lo_t, hi_t = interval
     if not hi_t > lo_t:
         raise ValidationError("target interval must be nondegenerate")
-    (site_pt,) = _normalize_sites(model, [site])
-    event_sites = _normalize_sites(model, event.sites)
+    site_pt = as_point(site, model.dimension)
+    event_sites = [as_point(s, model.dimension) for s in event.sites]
     if site_pt in event_sites:
         raise ValidationError("the target site cannot be part of the conditioning event")
 
-    all_sites = event_sites + [site_pt]
-    coupling_points, weights, _ = _site_weight_vector(model, all_sites)
+    coupling_points, weights = _site_weight_vector(model, event_sites + [site_pt])
     w_event, w_target = weights[:-1], weights[-1]
     ev_lo, ev_hi = _event_bounds(event)
+    strata = _disjoint_groups(w_event) if isinstance(event, BandEvent) else None
 
     if sampler == "auto":
-        if isinstance(event, BandEvent) and _disjoint_groups(w_event) is not None:
+        if strata is not None:
             sampler = "stratified"
         elif isinstance(event, PinEvent) and model.measure.kind == "gaussian":
             sampler = "gibbs"
         else:
             sampler = "rejection"
 
-    if sampler == "rejection":
-        couplings, n_draws = _rejection_sample_event(
-            model.measure, w_event, ev_lo, ev_hi, n_target, master_seed, max_draws, batch
-        )
-        acceptance = n_target / n_draws
-    elif sampler == "stratified":
-        if not isinstance(event, BandEvent):
+    if sampler in ("rejection", "stratified"):
+        if sampler == "rejection":
+            groups = [(np.arange(len(w_event)), np.arange(w_event.shape[1]))]
+        elif not isinstance(event, BandEvent):
             raise ValidationError("the stratified sampler handles band events only")
-        groups = _disjoint_groups(w_event)
-        if groups is None:
+        elif strata is None:
             raise ValidationError(
                 "band event does not factorize over disjoint coupling groups; "
                 "use the rejection sampler"
             )
-        couplings, n_draws = _stratified_sample_event(
-            model.measure, w_event, groups, ev_lo, ev_hi, n_target, master_seed, max_draws, batch
+        else:
+            groups = strata
+        if max_draws < 1:
+            raise ValidationError(f"max_draws must be at least 1, got {max_draws!r}")
+        couplings, n_draws = _sample_groups(
+            model.measure, w_event, groups, ev_lo, ev_hi, n_target, master_seed, max_draws
         )
-        acceptance = n_target * len(groups) / max(n_draws, 1)
+        acceptance = n_target * len(groups) / n_draws
     elif sampler == "gibbs":
         if model.measure.kind != "gaussian":
             raise ValidationError("the gibbs sampler requires a gaussian measure")
@@ -370,62 +368,52 @@ def conditional_concentration_mc(
     )
 
 
-def _disjoint_groups(w_event: np.ndarray) -> Optional[list[np.ndarray]]:
-    groups = [np.nonzero(row)[0] for row in w_event]
+def _disjoint_groups(w_event: np.ndarray) -> Optional[list[tuple[np.ndarray, np.ndarray]]]:
+    """One ``(rows, cols)`` group per event row, holding the couplings the row
+    weighs, or None when two rows share a coupling."""
+    groups = [(np.array([i]), np.nonzero(row)[0]) for i, row in enumerate(w_event)]
     seen: set[int] = set()
-    for g in groups:
-        if seen & set(g.tolist()):
+    for _, cols in groups:
+        if seen & set(cols.tolist()):
             return None
-        seen.update(g.tolist())
+        seen.update(cols.tolist())
     return groups
 
 
-def _rejection_sample_event(measure, w_event, ev_lo, ev_hi, n_target, seed, max_draws, batch):
-    m = w_event.shape[1]
-    kept, total, stream = [], 0, 0
-    n_kept = 0
-    while n_kept < n_target:
-        if total >= max_draws:
-            raise NumericalError(
-                f"rejection sampler accepted {n_kept}/{n_target} after {total} draws "
-                "(acceptance too small: widen the event band or use the "
-                "stratified/gibbs sampler)"
-            )
-        rng = stream_rng(seed, stream)
-        stream += 1
-        omega = measure.sample(rng, batch * m).reshape(batch, m)
-        eta = omega @ w_event.T
-        ok = np.all((eta >= ev_lo) & (eta <= ev_hi), axis=1)
-        total += batch
-        if np.any(ok):
-            kept.append(omega[ok])
-            n_kept += int(ok.sum())
-    return np.concatenate(kept)[:n_target], total
+# Joint draws per batch of one group of the box sampler.
+_BATCH = 65536
 
 
-def _stratified_sample_event(measure, w_event, groups, ev_lo, ev_hi, n_target, seed, max_draws, batch):
+def _sample_groups(measure, w_event, groups, ev_lo, ev_hi, n_target, seed, max_draws):
+    """Exact conditional couplings under the event box, and the draws spent.
+
+    Each group ``(rows, cols)`` holds event rows whose couplings ``cols`` no
+    other group touches, so each group is rejection-sampled on its own: batch
+    ``a`` of group ``j`` draws ``_BATCH`` rows of its couplings from
+    ``stream_rng(seed, j, a)`` and keeps those whose values at ``rows`` all
+    lie in their bands.  Couplings outside every group are drawn from the
+    prior on ``stream_rng(seed, len(groups))``.
+    """
     m = w_event.shape[1]
     out = np.empty((n_target, m))
-    free = np.setdiff1d(np.arange(m), np.concatenate(groups) if groups else [])
     total = 0
-    for gi, g in enumerate(groups):
-        w_g = w_event[gi, g]
-        kept, n_kept, attempt = [], 0, 0
+    for j, (rows, cols) in enumerate(groups):
+        w, lo, hi = w_event[np.ix_(rows, cols)], ev_lo[rows], ev_hi[rows]
+        kept, n_kept = [], 0  # one kept block per batch, so batch a = len(kept)
         while n_kept < n_target:
             if total >= max_draws:
                 raise NumericalError(
-                    f"stratified sampler stalled on conditioned site {gi} after {total} draws"
+                    f"sampler accepted {n_kept}/{n_target} on group {j} after {total} draws "
+                    "(acceptance too small: widen the event band or use stratified/gibbs)"
                 )
-            rng = stream_rng(seed, gi, attempt)
-            attempt += 1
-            omega = measure.sample(rng, batch * len(g)).reshape(batch, len(g))
-            eta = omega @ w_g
-            ok = (eta >= ev_lo[gi]) & (eta <= ev_hi[gi])
-            total += batch
-            if np.any(ok):
-                kept.append(omega[ok])
-                n_kept += int(ok.sum())
-        out[:, g] = np.concatenate(kept)[:n_target]
+            rng = stream_rng(seed, j, len(kept))
+            omega = measure.sample(rng, _BATCH * len(cols)).reshape(_BATCH, len(cols))
+            eta = omega @ w.T
+            kept.append(omega[np.all((eta >= lo) & (eta <= hi), axis=1)])
+            n_kept += len(kept[-1])
+            total += _BATCH
+        out[:, cols] = np.concatenate(kept)[:n_target]
+    free = np.setdiff1d(np.arange(m), np.concatenate([cols for _, cols in groups]))
     if len(free):
         rng = stream_rng(seed, len(groups))
         out[:, free] = measure.sample(rng, n_target * len(free)).reshape(n_target, len(free))

@@ -66,6 +66,14 @@ class TestFractionalMoment:
         with pytest.raises(al.ValidationError):
             al.fractional_moment(one_site_model, vol, 1j, 0, 3, 0.5, 10, 0)
 
+    @pytest.mark.parametrize("x, y", [([0.5], [0.7]), (0, 1.5), (0, [0, 1])])
+    def test_non_integer_point_rejected(self, anderson_gaussian, x, y):
+        # these used to be truncated to sites 0 and 1 while the metadata
+        # recorded the points as given
+        vol = build_volume(1, radius=3)
+        with pytest.raises(al.ValidationError):
+            al.fractional_moment(anderson_gaussian, vol, 1j, x, y, 0.5, 10, 0)
+
     def test_determinism(self, anderson_gaussian):
         vol = build_volume(1, radius=4)
         a = al.fractional_moment(anderson_gaussian, vol, 0.3 + 0.1j, 0, 2, 0.5, 500, 7)
@@ -126,6 +134,12 @@ class TestDecayProfile:
                 30,
                 master_seed=53,
             )
+
+    @pytest.mark.parametrize("x, offsets", [(0, [[1], [1.5], [2]]), ([0.5], [[1], [2], [3]])])
+    def test_non_integer_point_rejected(self, anderson_gaussian, x, offsets):
+        vol = build_volume(1, radius=5)
+        with pytest.raises(al.ValidationError):
+            al.green_decay_profile(anderson_gaussian, vol, 0.1j, x, offsets, 0.5, 10, 0)
 
     def test_csv(self, anderson_gaussian, tmp_path):
         vol = build_volume(1, radius=4)

@@ -105,3 +105,10 @@ class TestStatistics:
         real = sample_field(two_tap, uniform01, vol, master_seed=1, stream_index=0)
         with pytest.raises(KeyError):
             real.coupling_at(50)
+
+    def test_coupling_at_rejects_non_integer_points(self, two_tap, uniform01):
+        vol = build_volume(1, radius=2)
+        real = sample_field(two_tap, uniform01, vol, master_seed=1, stream_index=0)
+        for point in (0.5, [1.5], [0, 0]):
+            with pytest.raises(al.ValidationError):
+                real.coupling_at(point)

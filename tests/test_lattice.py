@@ -46,6 +46,27 @@ class TestVolumes:
         assert vol.index_of(-3) == 0
         assert (7,) not in vol and 2 in vol
 
+    @pytest.mark.parametrize("point", [[0.5], 0.9, [-0.5], np.float64(2.5), "a", [0, 0], [float("nan")]])
+    def test_index_of_rejects_malformed_points(self, point):
+        # a non-integer or wrong-dimension point is an input error, never a
+        # truncated lookup of a neighbouring site
+        with pytest.raises(al.ValidationError):
+            build_volume(1, radius=3).index_of(point)
+
+    def test_index_of_accepts_integral_forms(self):
+        vol = build_volume(2, radius=1)
+        assert vol.index_of((1, -1)) == vol.index_of(np.array([1, -1])) == vol.index_of([1.0, -1.0])
+        assert vol.index_of((2, 0)) == -1
+        assert build_volume(1, radius=1).index_of(np.int64(1)) == 2
+
+    def test_explicit_points_must_be_integer(self):
+        with pytest.raises(al.ValidationError):
+            build_volume(1, points=[[0], [0.5]])
+        with pytest.raises(al.ValidationError):
+            build_volume(2, points=[(0, 0), (1,)])
+        with pytest.raises(al.ValidationError):
+            build_volume(1, points=[])
+
     def test_explicit_points_sorted(self):
         vol = build_volume(2, points=[(1, 0), (0, 1), (0, 0)])
         assert [tuple(p) for p in vol.points] == [(0, 0), (0, 1), (1, 0)]

@@ -19,7 +19,7 @@ from alloysim import (
     uniform_pair_concentration,
 )
 from alloysim.errors import NumericalError
-from alloysim.regularity import _gibbs_sample_event
+from alloysim.regularity import _BATCH, _disjoint_groups, _gibbs_sample_event, _sample_groups
 from alloysim.rng import stream_rng
 
 
@@ -64,6 +64,70 @@ def _reference_gibbs(measure, w_event, ev_lo, ev_hi, n_target, seed, chains, bur
     draws = center + sigma * rng.standard_normal((len(ys), m))
     resid = ys - draws @ w_event.T
     return draws + resid @ np.linalg.solve(gram, sigma * sigma * w_event)
+
+
+def _reference_rejection(measure, w_event, ev_lo, ev_hi, n_target, seed, max_draws, batch):
+    """The joint rejection sampler as it stood before the box sampler: the
+    oracle for rejection that finishes within one batch."""
+    m = w_event.shape[1]
+    kept, total, stream = [], 0, 0
+    n_kept = 0
+    while n_kept < n_target:
+        if total >= max_draws:
+            raise NumericalError(
+                f"rejection sampler accepted {n_kept}/{n_target} after {total} draws "
+                "(acceptance too small: widen the event band or use the "
+                "stratified/gibbs sampler)"
+            )
+        rng = stream_rng(seed, stream)
+        stream += 1
+        omega = measure.sample(rng, batch * m).reshape(batch, m)
+        eta = omega @ w_event.T
+        ok = np.all((eta >= ev_lo) & (eta <= ev_hi), axis=1)
+        total += batch
+        if np.any(ok):
+            kept.append(omega[ok])
+            n_kept += int(ok.sum())
+    return np.concatenate(kept)[:n_target], total
+
+
+def _reference_stratified(measure, w_event, groups, ev_lo, ev_hi, n_target, seed, max_draws, batch):
+    """The stratified sampler as it stood before the box sampler, one group of
+    coupling columns per event row: its oracle, bit for bit."""
+    m = w_event.shape[1]
+    out = np.empty((n_target, m))
+    free = np.setdiff1d(np.arange(m), np.concatenate(groups) if groups else [])
+    total = 0
+    for gi, g in enumerate(groups):
+        w_g = w_event[gi, g]
+        kept, n_kept, attempt = [], 0, 0
+        while n_kept < n_target:
+            if total >= max_draws:
+                raise NumericalError(
+                    f"stratified sampler stalled on conditioned site {gi} after {total} draws"
+                )
+            rng = stream_rng(seed, gi, attempt)
+            attempt += 1
+            omega = measure.sample(rng, batch * len(g)).reshape(batch, len(g))
+            eta = omega @ w_g
+            ok = (eta >= ev_lo[gi]) & (eta <= ev_hi[gi])
+            total += batch
+            if np.any(ok):
+                kept.append(omega[ok])
+                n_kept += int(ok.sum())
+        out[:, g] = np.concatenate(kept)[:n_target]
+    if len(free):
+        rng = stream_rng(seed, len(groups))
+        out[:, free] = measure.sample(rng, n_target * len(free)).reshape(n_target, len(free))
+    return out, total
+
+
+def _two_tap_rows(centers, m):
+    """Event rows of ``omega_k + omega_{k+1}`` at the given column offsets."""
+    w = np.zeros((len(centers), m))
+    for row, k in enumerate(centers):
+        w[row, k] = w[row, k + 1] = 1.0
+    return w
 
 
 class TestExactConcentration:
@@ -191,6 +255,66 @@ class TestConditionalMC:
         report = res.law_report()
         assert report["n_accepted"] == 1_000
 
+    @pytest.mark.parametrize(
+        "centers, m, lo, hi, n_target",
+        [
+            pytest.param([0], 2, 1.5, 2.0, 300, id="one-group"),
+            pytest.param([0, 2, 4], 6, 1.2, 1.9, 400, id="three-groups"),
+            pytest.param([0, 3], 6, 0.3, 0.9, 250, id="free-couplings"),
+            pytest.param([1], 3, 1.99, 2.0, 5, id="multi-batch"),
+        ],
+    )
+    def test_stratified_matches_reference_bit_for_bit(self, uniform01, centers, m, lo, hi, n_target):
+        w_event = _two_tap_rows(centers, m)
+        ev_lo, ev_hi = np.full(len(centers), lo), np.full(len(centers), hi)
+        groups = _disjoint_groups(w_event)
+        out, n_draws = _sample_groups(uniform01, w_event, groups, ev_lo, ev_hi, n_target, 9, 10**8)
+        ref, ref_draws = _reference_stratified(
+            uniform01, w_event, [cols for _, cols in groups], ev_lo, ev_hi, n_target, 9, 10**8, _BATCH
+        )
+        assert np.array_equal(out, ref) and n_draws == ref_draws
+        if hi - lo < 0.1:  # the narrow band needs more than one batch
+            assert n_draws > _BATCH
+
+    def test_rejection_within_one_batch_matches_reference(self, uniform01):
+        w_event = _two_tap_rows([0, 1], 3)  # overlapping rows: no stratification
+        ev_lo, ev_hi = np.array([0.8, 1.0]), np.array([1.4, 1.6])
+        groups = [(np.arange(2), np.arange(3))]
+        out, n_draws = _sample_groups(uniform01, w_event, groups, ev_lo, ev_hi, 500, 4, 10**8)
+        ref, ref_draws = _reference_rejection(uniform01, w_event, ev_lo, ev_hi, 500, 4, 10**8, _BATCH)
+        assert n_draws == ref_draws == _BATCH
+        assert np.array_equal(out, ref)
+
+    def test_multi_batch_rejection_draws_batch_a_from_stream_0_a(self, flagship_model):
+        # rejection is the box sampler with one group, so its later batches
+        # come from stream (seed, 0, a), where they once came from (seed, a)
+        event = BandEvent(sites=((-1,), (1,)), lo=1.9, hi=2.0)
+        res = conditional_concentration_mc(
+            flagship_model, 0, (0.0, 2.0), event, n_target=30, master_seed=6,
+            sampler="rejection", keep_couplings=True,
+        )
+        w_event = _two_tap_rows([0, 2], 4)  # couplings -2..1, sites -1 and 1
+        kept, a = [], 0
+        while sum(map(len, kept)) < 30:
+            omega = flagship_model.measure.sample(stream_rng(6, 0, a), _BATCH * 4).reshape(_BATCH, 4)
+            eta = omega @ w_event.T
+            kept.append(omega[np.all((eta >= 1.9) & (eta <= 2.0), axis=1)])
+            a += 1
+        assert a > 1 and res.n_draws == a * _BATCH
+        assert res.acceptance_rate == 30 / (a * _BATCH)
+        assert np.array_equal(res.couplings, np.concatenate(kept)[:30])
+
+    def test_event_and_target_sites_must_be_lattice_points(self, flagship_model):
+        # non-integer sites were once truncated to the neighbouring integers
+        ok_event = BandEvent(sites=((-1,), (1,)), lo=1.0, hi=2.0)
+        for site, event in [
+            (0.6, ok_event),
+            (0, BandEvent(sites=([-1.4], [1.2]), lo=1.0, hi=2.0)),
+            (0, BandEvent(sites=((-1, 0), (1, 0)), lo=1.0, hi=2.0)),
+        ]:
+            with pytest.raises(al.ValidationError):
+                conditional_concentration_mc(flagship_model, site, (0.0, 1.0), event, 10, 0)
+
     def test_gibbs_matches_closed_form(self, two_tap, gaussian01):
         model = AlloyModel(potential=two_tap, measure=gaussian01, lam=1.0)
         event = PinEvent(sites=((-1,), (1,)), values=(0.3, -0.2), tolerance=0.05)
@@ -243,21 +367,33 @@ class TestConditionalMC:
         args = (gaussian01, w_event, -tau, tau, 600, 5, 64, 20, 3)
         assert np.array_equal(_gibbs_sample_event(*args), _reference_gibbs(*args))
 
-    @pytest.mark.parametrize("bad", [{"chains": 0}, {"thin": 0}, {"burn_in": -1}])
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"chains": 0},
+            {"thin": 0},
+            {"burn_in": -1},
+            {"max_draws": 0, "sampler": "rejection"},
+            {"max_draws": 0, "sampler": "stratified"},
+        ],
+    )
     def test_gibbs_rejects_bad_chain_settings_before_drawing(
         self, two_tap, gaussian01, monkeypatch, bad
     ):
+        # the box samplers' max_draws is checked the same way: an input
+        # error, not a numerical failure after the draws
         def no_draws(*args):
             raise AssertionError("a stream was derived before validation")
 
         monkeypatch.setattr("alloysim.regularity.stream_rng", no_draws)
         model = AlloyModel(potential=two_tap, measure=gaussian01, lam=1.0)
-        event = PinEvent(sites=((-1,), (1,)), values=(0.3, -0.2), tolerance=0.05)
-        settings = {"chains": 4, "burn_in": 2, "thin": 1, **bad}
+        settings = {"sampler": "gibbs", "chains": 4, "burn_in": 2, "thin": 1, **bad}
+        if settings["sampler"] == "gibbs":
+            event = PinEvent(sites=((-1,), (1,)), values=(0.3, -0.2), tolerance=0.05)
+        else:
+            event = BandEvent(sites=((-1,), (1,)), lo=0.0, hi=1.0)
         with pytest.raises(al.ValidationError, match=next(iter(bad))):
-            conditional_concentration_mc(
-                model, 0, (-1.0, 1.0), event, 10, 0, sampler="gibbs", **settings
-            )
+            conditional_concentration_mc(model, 0, (-1.0, 1.0), event, 10, 0, **settings)
 
     def test_gibbs_requires_gaussian(self, flagship_model):
         event = PinEvent(sites=((-1,),), values=(1.0,), tolerance=0.1)
