@@ -10,8 +10,10 @@ interval, disorder strength or offset of a sweep is evaluated on the same
 field.  ``fractional_moment``, ``green_decay_profile`` and
 ``minami_determinant`` read resolvent entries through ``_green_rows``, the one
 routine that picks the path: the batched tridiagonal kernel ``chain_green``
-for a complex energy on a chain, one dense solve per realization otherwise
-(d >= 2, non-chain volumes, real energies).
+for a complex energy on a chain, one ``green_column`` call per site and
+realization otherwise.  ``green_column`` eliminates a d >= 2 box at a complex
+energy slab by slab and solves every other case (non-chain explicit volumes,
+real energies) densely.
 """
 
 from __future__ import annotations
@@ -144,10 +146,12 @@ def _green_rows(
     at ``lams[j]``, filled while ``first + i < counts[j]`` and nan after.  A
     complex ``z`` on a chain takes the batched kernel over blocks of fields,
     and ``reduce`` runs on each block after its draws, so nothing it raises
-    is redrawn.  Otherwise each realization is solved densely and reduced as
-    a one-row block inside its draw: a ``NumericalError`` from the solve or
-    from ``reduce`` (a real energy hitting the spectrum) redraws only that
-    stream, except ``_InvariantViolation``, which propagates at once.
+    is redrawn.  Otherwise each realization is solved by ``green_column``
+    (slab by slab on a d >= 2 box at a complex ``z``, densely on any other
+    volume or at a real ``z``) and reduced as a one-row block inside its
+    draw: a ``NumericalError`` from the solve or from ``reduce`` (a real
+    energy hitting the spectrum) redraws only that stream, except
+    ``_InvariantViolation``, which propagates at once.
     """
     shape = (len(lams), len(sites), len(cols))
     nan = complex(np.nan, np.nan)

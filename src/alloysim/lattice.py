@@ -61,6 +61,7 @@ class FiniteVolume:
         if len(self._index) != len(points):
             raise ValidationError("volume points must be distinct")
         self._pairs: Optional[np.ndarray] = None
+        self._slab: Optional[np.ndarray] = None
         self._layouts: dict = {}
         # True for one-dimensional volumes with contiguous sites; ``points``
         # is never reassigned, so it is decided once here.
@@ -102,6 +103,22 @@ class FiniteVolume:
                         pairs.append((i, j))
             self._pairs = np.asarray(pairs, dtype=int).reshape(-1, 2)
         return self._pairs
+
+    def _slab_hopping(self) -> np.ndarray:
+        """Hopping of a box inside one slab, the points that share a first
+        coordinate: an ``m x m`` matrix, ``m = len(self) // (2 * radius + 1)``,
+        the same on every slab.  Slab 0 holds the first ``m`` points, so its
+        in-slab pairs are the ``neighbor_pairs`` rows with both ends below
+        ``m``."""
+        if self._slab is None:
+            m = len(self) // (2 * self.radius + 1)
+            pairs = self.neighbor_pairs()
+            inner = pairs[pairs[:, 1] < m]
+            hop = np.zeros((m, m))
+            hop[inner[:, 0], inner[:, 1]] = -1.0
+            hop[inner[:, 1], inner[:, 0]] = -1.0
+            self._slab = hop
+        return self._slab
 
     def coupling_layout(self, u) -> tuple[np.ndarray, np.ndarray]:
         """Coupling index set for a profile and the gather map onto it.
@@ -217,18 +234,67 @@ def green_column(op: FiniteVolumeOperator, z: complex, y) -> np.ndarray:
     """Column ``G(z; ., y)`` of the resolvent as a vector over the volume.
 
     By symmetry of the matrix this is also row ``y``.  Raises if ``y`` lies
-    outside the volume or a real ``z`` is too close to the spectrum.
+    outside the volume or a real ``z`` is too close to the spectrum.  A box
+    with ``d >= 2`` at a complex ``z`` is eliminated slab by slab
+    (``_slab_column``); every other volume and every real ``z`` takes a dense
+    solve behind the spectrum guard, since at a real energy a slab pivot can
+    be singular where ``H - z`` is not.
     """
     iy = op.volume.index_of(y)
     if iy < 0:
         raise ValidationError(f"point {y!r} is outside the volume")
     z = complex(z)
+    if z.imag != 0 and op.volume.kind == "box" and op.volume.dimension >= 2:
+        return _slab_column(op, z, iy)
     _check_not_in_spectrum(op, z)
     rhs = np.zeros(op.size, dtype=complex)
     rhs[iy] = 1.0
     shifted = op.matrix.astype(complex)
     shifted[np.arange(op.size), np.arange(op.size)] -= z
     return np.linalg.solve(shifted, rhs)
+
+
+def _slab_column(op: FiniteVolumeOperator, z: complex, iy: int) -> np.ndarray:
+    """``green_column`` on a box by elimination over slabs (the recursive
+    Green's-function method of MacKinnon and Kramer, PRL 47, 1546 (1981)).
+
+    In lexicographic order slab ``k`` is the index range ``[k m, (k+1) m)``
+    and ``H - z`` is block tridiagonal: ``D_k`` (the in-slab hopping plus
+    ``diag(lam * field) - z``) on the diagonal, ``-I`` beside it.  With
+    ``L_k = D_k - L_{k-1}^{-1}`` from the left end, ``R_k = D_k - R_{k+1}^{-1}``
+    from the right and ``iy`` at position ``p`` of slab ``s``, the column is
+    ``(D_s - L_{s-1}^{-1} - R_{s+1}^{-1}) g_s = e_p``, then
+    ``g_k = L_k^{-1} g_{k+1}`` for ``k < s`` and ``g_k = R_k^{-1} g_{k-1}`` for
+    ``k > s``.  For ``Im z != 0`` every pivot has an imaginary part of one
+    definite sign, so none is singular.
+    """
+    hop = op.volume._slab_hopping()
+    m = len(hop)
+    n_slabs = op.size // m
+    s, p = divmod(iy, m)
+    diag = op.diagonal.reshape(n_slabs, m) - z
+    eye = np.eye(m)
+
+    def block(k):
+        return hop + np.diag(diag[k])
+
+    # inv[k + 1] = L_k^{-1} for the slabs k left of s and R_k^{-1} for those
+    # right of it, the only pivots the column needs; the zero blocks at either
+    # end stand for the missing neighbour slab
+    inv = np.zeros((n_slabs + 2, m, m), dtype=complex)
+    for k in range(s):
+        inv[k + 1] = np.linalg.solve(block(k) - inv[k], eye)
+    for k in range(n_slabs - 1, s, -1):
+        inv[k + 1] = np.linalg.solve(block(k) - inv[k + 2], eye)
+    rhs = np.zeros(m, dtype=complex)
+    rhs[p] = 1.0
+    g = np.empty((n_slabs, m), dtype=complex)
+    g[s] = np.linalg.solve(block(s) - inv[s] - inv[s + 2], rhs)
+    for k in range(s - 1, -1, -1):
+        g[k] = inv[k + 1] @ g[k + 1]
+    for k in range(s + 1, n_slabs):
+        g[k] = inv[k + 1] @ g[k - 1]
+    return g.ravel()
 
 
 def chain_green(diagonals: np.ndarray, z: complex, sites: Sequence[int]) -> np.ndarray:

@@ -481,6 +481,59 @@ class TestChainKernelRouting:
         al.green_decay_profile(anderson_gaussian, box, 0.3j, [0, 0], offsets, 0.5, 5, 0)
 
 
+class TestSlabRouting:
+    """Complex-energy estimators on a 2-d box read columns eliminated slab by
+    slab; a dense solve of each assembled operator is their oracle."""
+
+    @pytest.fixture
+    def dense(self, monkeypatch):
+        def column(op, z, y):
+            rhs = np.zeros(op.size)
+            rhs[op.volume.index_of(y)] = 1.0
+            return np.linalg.solve(op.matrix - z * np.eye(op.size), rhs)
+
+        def run(fn, *args):
+            with monkeypatch.context() as m:
+                m.setattr(estimators, "green_column", column)
+                return fn(*args)
+
+        return run
+
+    @pytest.fixture
+    def model(self, cosine01):
+        return AlloyModel(potential=build_single_site(2, {(0, 0): 1.0, (1, 0): 1.0}),
+                          measure=cosine01, lam=10.0)
+
+    @pytest.mark.parametrize("z", [10.0 + 0.01j, 0.3 - 0.1j])
+    def test_fractional_moment(self, model, dense, z):
+        vol = build_volume(2, radius=3)
+        for x, y in [((0, 0), (0, 0)), ((-3, -3), (2, 3))]:
+            args = (model, vol, z, x, y, 0.5, 20, 11)
+            fast, slow = al.fractional_moment(*args), dense(al.fractional_moment, *args)
+            assert (fast.value, fast.stderr) == pytest.approx((slow.value, slow.stderr), rel=1e-12)
+            assert fast.metadata == slow.metadata
+
+    def test_decay_profile(self, model, dense):
+        vol = build_volume(2, radius=3)
+        offsets = [[k, k % 2] for k in range(-2, 4)]
+        args = (model, vol, 10.0 - 0.01j, [0, 0], offsets, 0.1, 20, 13)
+        fast, slow = al.green_decay_profile(*args), dense(al.green_decay_profile, *args)
+        for a, b in zip(fast.estimates, slow.estimates):
+            assert (a.value, a.stderr) == pytest.approx((b.value, b.stderr), rel=1e-12)
+            assert a.metadata == b.metadata
+        assert fast.rate == pytest.approx(slow.rate, rel=1e-12)
+        assert fast.dropped == slow.dropped
+
+    def test_box_estimators_never_build_the_matrix(self, model, monkeypatch):
+        def dense(op):
+            raise AssertionError(f"dense {op.size} x {op.size} matrix built on a box")
+
+        monkeypatch.setattr(al.FiniteVolumeOperator, "matrix", property(dense))
+        vol = build_volume(2, radius=2)
+        al.fractional_moment(model, vol, 0.3j, [0, 0], [1, 2], 0.5, 5, 0)
+        al.green_decay_profile(model, vol, -0.3j, [0, 0], [[0, 0], [1, 0], [1, 1]], 0.5, 5, 0)
+
+
 class TestRealizationLoop:
     def test_error_redraws_only_that_stream(self, anderson_gaussian, draws):
         def reduce(real):

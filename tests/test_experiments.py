@@ -1,8 +1,10 @@
 import copy
 import dataclasses
+import importlib.util
 import json
 import math
 import re
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -670,3 +672,15 @@ class TestCli:
             main([])
         assert exc.value.code == 2
         capsys.readouterr()
+
+
+def test_harness_demo_removes_its_workspace(tmp_path, monkeypatch, capsys):
+    spec = importlib.util.spec_from_file_location(
+        "experiment_harness", REPO / "demos" / "experiment_harness.py"
+    )
+    demo = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(demo)
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    demo.main()
+    assert "solo run hash" in capsys.readouterr().out
+    assert list(tmp_path.iterdir()) == []

@@ -220,6 +220,89 @@ class TestChainGreen:
             al.chain_green(np.zeros((1, 3)), 0.5, [0])
 
 
+def dense_column(op, z, iy):
+    """Oracle for ``green_column``: a dense solve of ``(H - z) g = e_y``."""
+    rhs = np.zeros(op.size)
+    rhs[iy] = 1.0
+    return np.linalg.solve(op.matrix - z * np.eye(op.size), rhs)
+
+
+def box_operator(rng, d, radius, lam=10.0):
+    vol = build_volume(d, radius=radius)
+    return assemble(SimpleNamespace(volume=vol, field=rng.normal(size=len(vol))), lam)
+
+
+def box_targets(d, radius):
+    """A corner, an edge point, the centre, and points of the first and the
+    last slab (first coordinate -radius and +radius)."""
+    inner = [0] * (d - 1)
+    return list(dict.fromkeys([
+        (-radius,) * d,
+        (0, *inner[1:], radius),
+        (0,) * d,
+        (-radius, *inner),
+        (radius, *[min(1, radius)] * (d - 1)),
+    ]))
+
+
+class TestSlabColumn:
+    """Slab elimination on d >= 2 boxes at complex energies against dense
+    solves built here."""
+
+    @pytest.mark.parametrize("d, radius", [(2, 0), (2, 1), (2, 3), (2, 10), (3, 1), (3, 2)])
+    @pytest.mark.parametrize("z", [0.3 + 0.05j, 0.3 - 0.05j, -1.0 - 0.01j])
+    def test_columns_and_entries_match_dense(self, rng, d, radius, z):
+        op = box_operator(rng, d, radius)
+        targets = box_targets(d, radius)
+        for y in targets:
+            iy = op.volume.index_of(y)
+            expected = dense_column(op, z, iy)
+            np.testing.assert_allclose(green_column(op, z, y), expected, rtol=1e-12, atol=0)
+            for x in targets:
+                entry = green(op, z, x, y)
+                ix = op.volume.index_of(x)
+                assert entry == pytest.approx(expected[ix], rel=1e-12, abs=0)
+
+    def test_box_column_never_builds_the_matrix(self, rng, monkeypatch):
+        def dense(op):
+            raise AssertionError(f"dense {op.size} x {op.size} matrix built on a box")
+
+        op = box_operator(rng, 2, 3)
+        monkeypatch.setattr(al.FiniteVolumeOperator, "matrix", property(dense))
+        green_column(op, 0.3 + 0.05j, (1, -2))
+        green(op, -0.3j, (0, 0), (3, 3))
+
+    def test_real_eigenvalue_of_box_raises(self, rng):
+        op = box_operator(rng, 2, 2)
+        e0 = float(spectrum(op)[7])
+        with pytest.raises(al.NumericalError):
+            green_column(op, e0, (0, 0))
+
+    def test_chain_and_explicit_volume_take_dense_solve(self, rng, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the slab elimination ran")
+
+        solved = []
+        solve = np.linalg.solve
+
+        def record(a, b):
+            solved.append(np.shape(a))
+            return solve(a, b)
+
+        box = box_operator(rng, 2, 2)
+        z = 0.3 - 0.05j
+        via_slabs = green(box, z, (-2, 1), (1, 0))
+        explicit = build_volume(2, points=box.volume.points.tolist())
+        as_explicit = assemble(SimpleNamespace(volume=explicit, field=box.diagonal / box.lam),
+                               box.lam)
+        chain = diag_operator(rng.normal(size=9))
+        monkeypatch.setattr(al.lattice, "_slab_column", refuse)
+        monkeypatch.setattr(np.linalg, "solve", record)
+        assert green(as_explicit, z, (-2, 1), (1, 0)) == pytest.approx(via_slabs, rel=1e-12)
+        green(chain, z, 2, 6)
+        assert solved == [(25, 25), (9, 9)]
+
+
 def chain_eigenvalues(diag):
     n = len(diag)
     return scipy.linalg.eigvalsh_tridiagonal(diag, -np.ones(n - 1)) if n > 1 else diag.copy()
