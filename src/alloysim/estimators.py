@@ -367,10 +367,10 @@ def wegner_count(
     return out
 
 
-def minami_bound_constant(model: AlloyModel, cu_tol: float = 1e-6) -> float:
+def minami_bound_constant(model: AlloyModel) -> float:
     """Constant of the two-eigenvalue bound:
     ``(C_u**2 / 4) * max(||rho'||_1**2, ||rho''||_1)``."""
-    cu = convolution_inverse_norm(model.potential, tol=cu_tol).value
+    cu = convolution_inverse_norm(model.potential).value
     norms = density_norms(model.measure)
     if not (math.isfinite(norms.grad_l1) and math.isfinite(norms.hess_l1)):
         raise ValidationError("two-eigenvalue constant needs finite density derivative norms")

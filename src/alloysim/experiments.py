@@ -144,9 +144,12 @@ def load_config(
     """Parse and validate a config file; unknown keys are rejected.
 
     Params are type- and range-checked against the kind's spec and returned
-    typed, with defaults filled in.  The hash covers the semantic content as
-    given (kind, seed, model, params) with keys sorted, so it is stable under
-    reordering and independent of where the artifacts land.
+    typed, with defaults filled in.  The model block is read by the ``_MODEL``
+    table, and a coupling measure, in the model or in the params of a
+    measure-only kind, by the ``_MEASURES`` row of its kind.  Only the
+    integer 1 is a ``schema_version``.  The hash covers the semantic content
+    as given (kind, seed, model, params) with keys sorted, so it is stable
+    under reordering and independent of where the artifacts land.
     """
     try:
         with open(path) as fh:
@@ -160,8 +163,7 @@ def load_config(
     unknown = set(data) - _TOP_KEYS
     if unknown:
         raise ValidationError(f"unknown config keys: {sorted(unknown)}")
-    if data.get("schema_version") != 1:
-        raise ValidationError("schema_version must be 1")
+    _SCHEMA_VERSION.check(data.get("schema_version"), "schema_version", None)
     kind = data.get("kind")
     if kind not in _KINDS:
         raise ValidationError(f"unknown experiment kind {kind!r}; known: {sorted(_KINDS)}")
@@ -253,8 +255,10 @@ def _num(lo=None, strict=False, default=_REQUIRED) -> _Param:
 
 
 def _enum(*choices, default=_REQUIRED) -> _Param:
+    """One of ``choices``, of the same type: ``true`` and ``1.0`` are not ``1``."""
+
     def check(v, path, dim):
-        if v not in choices:
+        if not any(type(v) is type(c) and v == c for c in choices):
             raise _bad(path, f"one of {list(choices)}", v)
         return v
 
@@ -314,18 +318,32 @@ def _window(v, path, dim):
     return pair
 
 
-def _measure(v, path, dim):
-    try:
-        return CouplingMeasure.from_dict(v)
-    except (TypeError, ValueError) as exc:  # wrongly typed values inside the block
-        raise ValidationError(f"malformed {path}: {exc}") from exc
-
-
 def _site_entry(v, path, dim):
     """A ``[point, value]`` entry of a single-site profile."""
     if not isinstance(v, list) or len(v) != 2:
         raise _bad(path, "a [point, value] pair", v)
     return tuple(_POINT.check(v[0], f"{path}[0]", dim)), _NUMBER.check(v[1], f"{path}[1]", dim)
+
+
+_OPTIONAL_NUMBER = _num(default=_OPTIONAL)
+# measure kind -> constructor and param spec; a param left out keeps the
+# constructor's default, and the constructor checks how the values relate
+_MEASURES = {
+    "uniform": (CouplingMeasure.uniform, dict(lo=_OPTIONAL_NUMBER, hi=_OPTIONAL_NUMBER)),
+    "gaussian": (CouplingMeasure.gaussian, dict(mean=_OPTIONAL_NUMBER, variance=_OPTIONAL_NUMBER)),
+    "bernoulli": (CouplingMeasure.bernoulli,
+                  dict(p=_NUMBER, levels=_list(_NUMBER, default=_OPTIONAL))),
+    "cosine": (CouplingMeasure.cosine, dict(lo=_OPTIONAL_NUMBER, hi=_OPTIONAL_NUMBER)),
+    "grid": (CouplingMeasure.from_grid, dict(x=_list(_NUMBER, 3), density=_list(_NUMBER, 3))),
+}
+_MEASURE_BLOCK = {"kind": _enum(*_MEASURES), "params": _Param(lambda v, path, dim: v)}
+
+
+def _measure(v, path, dim):
+    """A ``{"kind": ..., "params": {...}}`` block, built by the kind's constructor."""
+    block = _read_params(_MEASURE_BLOCK, v, path, dim)
+    ctor, spec = _MEASURES[block["kind"]]
+    return ctor(**_read_params(spec, block["params"], f"{path}.params", dim))
 
 
 _MEASURE = _Param(_measure)
@@ -345,8 +363,9 @@ def _string(v, path, dim):
     return v
 
 
+_SCHEMA_VERSION = _enum(1)
 _SUITE = {
-    "schema_version": _enum(1),
+    "schema_version": _SCHEMA_VERSION,
     "name": _Param(_string, _OPTIONAL),
     "configs": _list(_Param(_string), min_len=0),
     "out": _Param(_string, _OPTIONAL),

@@ -161,13 +161,12 @@ def ids_positivity_probe(
     kappa: float,
     window_pairs: Sequence[tuple[float, float]],
     eps_grid: Sequence[float],
-    c_floor: float = 1e-6,
 ) -> PositivityProbe:
     """Check lower growth ``|N(E0 + a*eps) - N(E0 + b*eps)| >= C eps**(1+kappa)``.
 
     For every window pair the probe reports the increments over the epsilon
     grid and the best admissible constant (the minimum ratio); a row fails
-    when no constant above ``c_floor`` works.  The log-log slope against
+    when no constant above 1e-6 works.  The log-log slope against
     epsilon is fitted whenever at least two increments are positive.
     """
     eps = np.sort(np.asarray(eps_grid, dtype=float))
@@ -195,7 +194,7 @@ def ids_positivity_probe(
                 eps=eps,
                 increments=inc,
                 best_fit_c=best,
-                passed=best > c_floor,
+                passed=best > 1e-6,
                 loglog_slope=slope,
             )
         )

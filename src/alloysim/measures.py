@@ -96,7 +96,8 @@ class CouplingMeasure:
         if np.any(da < 0):
             raise ValidationError("grid density must be non-negative")
         total = np.trapezoid(da, xa)
-        if abs(total - 1.0) > 1e-8:
+        # written so that a NaN total, from any non-finite knot or value, fails
+        if not abs(total - 1.0) <= 1e-8:
             raise ValidationError(f"grid density integrates to {total!r}, expected 1 within 1e-8")
         return cls("grid", {"x": tuple(map(float, xa)), "density": tuple(map(float, da))})
 
@@ -240,43 +241,6 @@ class CouplingMeasure:
             out[filled : filled + take] = lo + (hi - lo) * keep[:take]
             filled += take
         return out
-
-    # -- serialization -----------------------------------------------------
-
-    def to_dict(self) -> dict:
-        params = dict(self.params)
-        for key, val in params.items():
-            if isinstance(val, tuple):
-                params[key] = list(val)
-        return {"kind": self.kind, "params": params}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "CouplingMeasure":
-        """Rebuild from ``to_dict`` output or the flat ``{"kind": ..., <params>}`` form."""
-        if not isinstance(data, dict) or "kind" not in data:
-            raise ValidationError("measure block needs a 'kind' key")
-        if "params" in data:
-            if set(data) != {"kind", "params"}:
-                raise ValidationError(
-                    f"measure block must have exactly kind/params, got {sorted(data)}"
-                )
-            kind, params = data["kind"], data["params"]
-        else:
-            kind = data["kind"]
-            params = {k: v for k, v in data.items() if k != "kind"}
-        ctors = {
-            "uniform": (cls.uniform, {"lo", "hi"}),
-            "gaussian": (cls.gaussian, {"mean", "variance"}),
-            "bernoulli": (cls.bernoulli, {"p", "levels"}),
-            "cosine": (cls.cosine, {"lo", "hi"}),
-            "grid": (cls.from_grid, {"x", "density"}),
-        }
-        if kind not in ctors:
-            raise ValidationError(f"unknown measure kind {kind!r}")
-        ctor, allowed = ctors[kind]
-        if not isinstance(params, dict) or set(params) - allowed:
-            raise ValidationError(f"invalid params for measure kind {kind!r}: {sorted(params)}")
-        return ctor(**params)
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,7 @@ from .errors import AlloysimError, ValidationError
 from .measures import CouplingMeasure, declared_holder, density_norms
 from .potential import (
     SingleSitePotential,
+    _rate_constants,
     convolution_inverse_norm,
     vanishing_order,
 )
@@ -37,17 +38,6 @@ class AlloyModel:
         """Crude band center: disorder strength times the mean field value."""
         return self.lam * self.potential.total * self.measure.mean()
 
-    # -- serialization -----------------------------------------------------
-
-    def to_dict(self) -> dict:
-        return {
-            "dimension": self.dimension,
-            "lambda": self.lam,
-            "single_site": [[list(p), v] for p, v in zip(self.potential.points, self.potential.values)],
-            "measure": self.measure.to_dict(),
-            "decay_cutoff": self.potential.decay_cutoff,
-        }
-
 
 def _finite_or_none(value: Optional[float], notes: dict, key: str, reason: str):
     if value is None or not math.isfinite(value):
@@ -57,12 +47,7 @@ def _finite_or_none(value: Optional[float], notes: dict, key: str, reason: str):
     return value
 
 
-def constants_report(
-    model: AlloyModel,
-    s: float = 0.5,
-    max_order: int = 8,
-    cu_tol: float = 1e-6,
-) -> dict:
+def constants_report(model: AlloyModel, s: float = 0.5) -> dict:
     """JSON-safe report of every derived constant of the model.
 
     Keys: ``u_bar``, ``c``, ``C``, ``N``, ``C_u``, ``alpha``, ``C1``,
@@ -74,9 +59,7 @@ def constants_report(
     report: dict = {"u_bar": u.total, "notes": notes}
 
     if u.total > 0 and u.diameter > 0:
-        rate = math.log(1.0 + u.total / (2.0 * u.l1_norm)) / u.diameter
-        report["c"] = rate
-        report["C"] = ((math.exp(rate) + 1.0) / (math.exp(rate) - 1.0)) ** u.dimension
+        report["c"], report["C"] = _rate_constants(u)
     else:
         report["c"] = report["C"] = None
         notes["c"] = (
@@ -85,13 +68,13 @@ def constants_report(
         )
 
     try:
-        report["N"] = vanishing_order(u, max_order=max_order).order
+        report["N"] = vanishing_order(u).order
     except AlloysimError as exc:
         report["N"] = None
         notes["N"] = str(exc)
 
     try:
-        report["C_u"] = convolution_inverse_norm(u, tol=cu_tol).value
+        report["C_u"] = convolution_inverse_norm(u).value
     except AlloysimError as exc:
         report["C_u"] = None
         notes["C_u"] = str(exc)

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import product as iter_product
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Optional
 
 import numpy as np
 
@@ -300,38 +300,37 @@ def _symbol_min(u: SingleSitePotential, n_grid: int) -> float:
     return float(np.abs(acc).min())
 
 
-def convolution_inverse_norm(
-    u: SingleSitePotential,
-    tol: float = 1e-6,
-    radii: Optional[Sequence[int]] = None,
-    max_points: int = 6000,
-) -> ConvolutionInverseNorm:
+def convolution_inverse_norm(u: SingleSitePotential) -> ConvolutionInverseNorm:
     """l1 operator norm of the inverse of the convolution by ``u``.
 
     The convolution operator has matrix ``u(j - k)``; its inverse is bounded
     on l1 exactly when the symbol ``sum_k u(k) exp(i k.theta)`` never
-    vanishes.  The norm is approximated on centered boxes of increasing
-    radius until two successive radii agree to ``tol`` (relative).
+    vanishes.  The norm is approximated on centered boxes of radius 4, 8,
+    16, ... (at most 6000 points) until two successive radii agree to 1e-6
+    (relative).
 
     Raises
     ------
+    ValidationError
+        If not even the radius-4 box fits in 6000 points (dimension 4 and up).
     NumericalError
         If the symbol vanishes somewhere on the torus (no bounded inverse),
         or the truncations have not converged at the largest feasible radius
         (the last two iterates are reported).
     """
+    radii, r = [], 4
+    while (2 * r + 1) ** u.dimension <= 6000:
+        radii.append(r)
+        r *= 2
+    if not radii:
+        raise ValidationError(
+            f"no truncation box of radius 4 fits 6000 points in dimension {u.dimension}"
+        )
     sym_min = _symbol_min(u, n_grid=256 if u.dimension == 1 else 64)
     if sym_min <= 1e-9 * max(1.0, u.l1_norm):
         raise NumericalError(
             f"convolution symbol reaches {sym_min:.3e}: no bounded l1 inverse"
         )
-    if radii is None:
-        radii, r = [], 4
-        while (2 * r + 1) ** u.dimension <= max_points:
-            radii.append(r)
-            r *= 2
-        if not radii:
-            raise ValidationError("max_points too small for radius 4")
     history: list[float] = []
     for radius in radii:
         pts = build_volume(u.dimension, radius).points
@@ -341,7 +340,7 @@ def convolution_inverse_norm(
             mat[np.all(diff == np.asarray(pt), axis=2)] = val
         inv = np.linalg.inv(mat)
         history.append(float(np.abs(inv).sum(axis=0).max()))
-        if len(history) >= 2 and abs(history[-1] - history[-2]) <= tol * max(1.0, abs(history[-1])):
+        if len(history) >= 2 and abs(history[-1] - history[-2]) <= 1e-6 * max(1.0, history[-1]):
             return ConvolutionInverseNorm(history[-1], radius, tuple(history), sym_min)
     raise NumericalError(
         "inverse convolution norm did not converge: last iterates "
@@ -373,6 +372,12 @@ class UniformBoundConstants:
         if lam <= 0:
             raise ValidationError("disorder strength must be positive")
         return self.coefficient / lam**self.s
+
+
+def _rate_constants(u: SingleSitePotential) -> tuple[float, float]:
+    """``c = log(1 + total / (2 l1)) / diameter`` and ``C = ((e^c + 1)/(e^c - 1))**d``."""
+    rate = math.log(1.0 + u.total / (2.0 * u.l1_norm)) / u.diameter
+    return rate, ((math.exp(rate) + 1.0) / (math.exp(rate) - 1.0)) ** u.dimension
 
 
 def uniform_bound_constants(
@@ -414,7 +419,6 @@ def uniform_bound_constants(
         grad_l1 = density_norms(measure).grad_l1
     if not math.isfinite(grad_l1):
         raise ValidationError("density derivative norm is not finite for this measure")
-    rate = math.log(1.0 + u.total / (2.0 * u.l1_norm)) / u.diameter
-    prod = ((math.exp(rate) + 1.0) / (math.exp(rate) - 1.0)) ** u.dimension
+    rate, prod = _rate_constants(u)
     coeff = (8.0 / u.total**s) * (s**-s / (1.0 - s)) * grad_l1**s * prod**s
     return UniformBoundConstants(rate, prod, coeff, s, u.total, grad_l1)

@@ -1,4 +1,3 @@
-import copy
 import dataclasses
 import importlib.util
 import json
@@ -115,9 +114,10 @@ class TestLoadConfig:
             load_config(path)
 
     def test_schema_version_and_kind_gates(self, tmp_path):
-        path = inverse_moment_config(tmp_path, schema_version=2)
-        with pytest.raises(al.ValidationError, match="schema_version"):
-            load_config(path)
+        for version in (2, True, 1.0, "1", None):
+            path = inverse_moment_config(tmp_path, schema_version=version)
+            with pytest.raises(al.ValidationError, match="schema_version"):
+                load_config(path)
         path = inverse_moment_config(tmp_path, kind="nonsense")
         with pytest.raises(al.ValidationError, match="unknown experiment kind"):
             load_config(path)
@@ -260,13 +260,40 @@ class TestRun:
             ("wegner", ("model", "single_site"), 5),
             ("poisson", ("window",), [5, -5]),
             ("poisson", ("window",), [0, 0.5]),
+            # the measure block, in the model and in the params of a measure-only kind
+            ("wegner", ("model", "measure", "params", "mean"), math.nan),
+            ("wegner", ("model", "measure", "params", "variance"), math.inf),
+            ("wegner", ("model", "measure", "params", "mean"), -math.inf),
+            ("wegner", ("model", "measure"), {"kind": "uniform", "params": {"hi": math.inf}}),
+            ("wegner", ("model", "measure"), {"kind": "cosine", "params": {"hi": math.inf}}),
+            ("wegner", ("model", "measure"),
+             {"kind": "bernoulli", "params": {"p": 0.5, "levels": [0, math.nan]}}),
+            ("wegner", ("model", "measure"),
+             {"kind": "grid", "params": {"x": [0, 0.5, 1], "density": [0, 2, math.nan]}}),
+            ("wegner", ("model", "measure"), {"kind": "uniform", "params": {"lo": "0", "hi": "1"}}),
+            ("wegner", ("model", "measure"), {"kind": "uniform", "params": {"hi": True}}),
+            ("wegner", ("model", "measure"), {"kind": "uniform", "lo": 0.0, "hi": 1.0}),
+            ("wegner", ("model", "measure"), {"params": {"mean": 0.0}}),
+            ("wegner", ("model", "measure", "params", "skew"), 2),
+            ("wegner", ("model", "measure", "kind"), "laplace"),
+            ("inverse-moment-equality", ("measure", "params", "hi"), math.nan),
+            ("inverse-moment-equality", ("measure", "params", "lo"), -math.inf),
+            ("inverse-moment-equality", ("measure", "params", "lo"), "0"),
+            ("inverse-moment-equality", ("measure", "params", "hi"), True),
+            ("inverse-moment-equality", ("measure",),
+             {"kind": "grid", "params": {"x": [0, 0.5, 1], "density": [0, 2, math.nan]}}),
+            ("inverse-moment-equality", ("measure",), {"kind": "uniform", "lo": 0.0, "hi": 1.0}),
+            ("inverse-moment-equality", ("measure",), {"params": {"lo": 0.0, "hi": 1.0}}),
+            ("inverse-moment-equality", ("measure", "params", "skew"), 2),
+            ("wegner", ("schema_version",), True),
+            ("wegner", ("schema_version",), 1.0),
         ],
     )
     def test_malformed_input_exits_2_without_output_dir(
         self, tmp_path, capsys, config, path, value
     ):
         payload = json.loads((REPO / f"suites/acceptance_checks/{config}.json").read_text())
-        target = payload if path[0] == "model" else payload["params"]
+        target = payload if path[0] in ("model", "schema_version") else payload["params"]
         for key in path[:-1]:
             target = target[key]
         target[path[-1]] = value
@@ -450,10 +477,13 @@ class TestSuite:
             {"schema_version": 1, "configs": ["im.json", 3]},
             {"schema_version": 1, "configs": ["im.json"], "name": 7},
             {"schema_version": 1, "configs": ["im.json"], "out": ["results"]},
+            {"schema_version": True, "configs": ["im.json"]},
+            {"schema_version": 1.0, "configs": ["im.json"]},
         ],
         ids=[
             "empty-array", "array", "no-configs", "schema-2", "configs-int",
             "configs-string", "config-entry-int", "name-int", "out-list",
+            "schema-true", "schema-float",
         ],
     )
     def test_malformed_manifest_exits_2_and_writes_nothing(self, tmp_path, capsys, manifest):
@@ -579,6 +609,7 @@ BAD_VALUES = st.one_of(
     st.none(),
     st.integers(max_value=-1),
     st.floats(allow_nan=False, allow_infinity=False).filter(lambda f: not f.is_integer()),
+    st.sampled_from([math.nan, math.inf, -math.inf]),
     st.just([]),
     st.lists(st.floats(-2, 2), max_size=1),
     st.dictionaries(st.sampled_from(["kind", "lo", "bogus"]), st.integers(), max_size=2),
@@ -586,7 +617,7 @@ BAD_VALUES = st.one_of(
 
 
 def _key_paths(obj, prefix=()):
-    """Every key path inside a params object, nested objects included."""
+    """Every key path inside a params or model object, nested objects included."""
     for key, value in obj.items():
         yield prefix + (key,)
         if isinstance(value, dict):
@@ -607,28 +638,29 @@ def _objects(obj, prefix=()):
 )
 @given(data=st.data())
 def test_mutated_configs_load_or_fail_validation(tmp_path, data):
-    """One mutated param never escapes load_config as anything but
-    ValidationError, and ``run`` rejects the same config with exit 2 and
+    """One mutated param or model entry never escapes load_config as anything
+    but ValidationError, and ``run`` rejects the same config with exit 2 and
     writes nothing."""
     path = data.draw(st.sampled_from(ACCEPTANCE), label="config")
     payload = json.loads(path.read_text())
-    params = copy.deepcopy(payload["params"])
+    block = data.draw(st.sampled_from([b for b in ("params", "model") if b in payload]),
+                      label="block")
+    obj = payload[block]
     action = data.draw(st.sampled_from(["replace", "delete", "unknown key"]), label="action")
     if action == "unknown key":
-        where = data.draw(st.sampled_from(list(_objects(params))), label="object")
+        where = data.draw(st.sampled_from(list(_objects(obj))), label="object")
         key, value = "bogus", 1
     else:
-        where = data.draw(st.sampled_from(list(_key_paths(params))), label="param")
+        where = data.draw(st.sampled_from(list(_key_paths(obj))), label="key")
         where, key = where[:-1], where[-1]
         value = data.draw(BAD_VALUES, label="value")
-    target = params
+    target = obj
     for k in where:
         target = target[k]
     if action == "delete":
         del target[key]
     else:
         target[key] = value
-    payload["params"] = params
     cfg = write_config(tmp_path / "mutated.json", payload)
     try:
         load_config(cfg)

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -6,6 +7,7 @@ from scipy import integrate
 
 import alloysim as al
 from alloysim import CouplingMeasure
+from alloysim.experiments import load_config
 
 
 def quad_norm(f, lo, hi):
@@ -29,6 +31,20 @@ class TestConstruction:
         x = np.linspace(0, 1, 11)
         with pytest.raises(al.ValidationError):
             CouplingMeasure.from_grid(x, np.full(11, 2.0))
+
+    @pytest.mark.parametrize(
+        "x, density",
+        [
+            ([0.0, 0.5, 1.0], [0.0, 2.0, math.nan]),
+            ([0.0, 0.5, 1.0], [0.0, 2.0, math.inf]),
+            ([0.0, 0.5, math.inf], [0.0, 2.0, 0.0]),
+            ([math.nan, 0.5, 1.0], [0.0, 2.0, 0.0]),
+        ],
+        ids=["nan-density", "inf-density", "inf-knot", "nan-knot"],
+    )
+    def test_grid_rejects_non_finite_values(self, x, density):
+        with pytest.raises(al.ValidationError, match="integrates to"):
+            CouplingMeasure.from_grid(x, density)
 
     def test_grid_accepts_normalized_density(self):
         x = np.linspace(0, 2, 401)
@@ -113,27 +129,40 @@ class TestSampling:
         assert s.mean() == pytest.approx(2 / 3, abs=0.01)
 
 
-class TestSerialization:
-    def test_round_trip(self):
-        for m in [
-            CouplingMeasure.uniform(-1, 2),
-            CouplingMeasure.gaussian(0.5, 2.0),
-            CouplingMeasure.bernoulli(0.4, (0, 1)),
-            CouplingMeasure.cosine(0, 3),
-        ]:
-            assert CouplingMeasure.from_dict(m.to_dict()) == m
-
-    def test_flat_form_accepted(self):
-        m = CouplingMeasure.from_dict({"kind": "uniform", "lo": 0.0, "hi": 1.0})
-        assert m == CouplingMeasure.uniform(0.0, 1.0)
-
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(al.ValidationError):
-            CouplingMeasure.from_dict({"kind": "laplace", "params": {}})
-
-    def test_unknown_param_rejected(self):
-        with pytest.raises(al.ValidationError):
-            CouplingMeasure.from_dict({"kind": "uniform", "params": {"lo": 0, "hi": 1, "skew": 2}})
+class TestConfigBlock:
+    @pytest.mark.parametrize(
+        "block, expected",
+        [
+            ({"kind": "uniform", "params": {"lo": -1, "hi": 2}}, CouplingMeasure.uniform(-1, 2)),
+            ({"kind": "uniform", "params": {}}, CouplingMeasure.uniform()),
+            ({"kind": "gaussian", "params": {"mean": 0.5, "variance": 2}},
+             CouplingMeasure.gaussian(0.5, 2.0)),
+            ({"kind": "gaussian", "params": {"variance": 4.0}}, CouplingMeasure.gaussian(0.0, 4.0)),
+            ({"kind": "bernoulli", "params": {"p": 0.4, "levels": [-1, 1]}},
+             CouplingMeasure.bernoulli(0.4, (-1.0, 1.0))),
+            ({"kind": "bernoulli", "params": {"p": 0.4}}, CouplingMeasure.bernoulli(0.4)),
+            ({"kind": "cosine", "params": {"lo": 0, "hi": 3}}, CouplingMeasure.cosine(0, 3)),
+            ({"kind": "cosine", "params": {"hi": 3.0}}, CouplingMeasure.cosine(0.0, 3.0)),
+            ({"kind": "grid", "params": {"x": [0, 0.5, 1], "density": [0, 2, 0]}},
+             CouplingMeasure.from_grid([0.0, 0.5, 1.0], [0.0, 2.0, 0.0])),
+        ],
+        ids=["uniform", "uniform-defaults", "gaussian", "gaussian-default-mean", "bernoulli",
+             "bernoulli-default-levels", "cosine", "cosine-default-lo", "grid"],
+    )
+    def test_config_block_builds_the_constructor_measure(self, tmp_path, block, expected):
+        # the same block in a model and in the params of a measure-only kind
+        configs = [
+            {"kind": "constants", "params": {},
+             "model": {"dimension": 1, "lambda": 1.0, "single_site": [[[0], 1.0]],
+                       "measure": block}},
+            {"kind": "inverse-moment", "params": {"measure": block, "s": 0.5, "b": 0.5}},
+        ]
+        for i, cfg in enumerate(configs):
+            path = tmp_path / f"{i}.json"
+            path.write_text(json.dumps({"schema_version": 1, **cfg}))
+            loaded = load_config(path)
+            measure = loaded.model.measure if loaded.model else loaded.params["measure"]
+            assert measure == expected
 
 
 class TestDensityNorms:

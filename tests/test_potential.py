@@ -181,6 +181,13 @@ class TestConvolutionInverse:
         u = build_single_site(1, [((0,), 4.0)])
         assert al.convolution_inverse_norm(u).value == pytest.approx(0.25)
 
+    def test_four_dimensional_profile_has_no_truncation_box(self):
+        # the radius-4 box has 9**4 = 6561 > 6000 points; refused before the
+        # symbol is evaluated on its 64**4 grid
+        u = build_single_site(4, [((0, 0, 0, 0), 1.0)])
+        with pytest.raises(al.ValidationError, match="dimension 4"):
+            al.convolution_inverse_norm(u)
+
 
 class TestUniformBoundConstants:
     def test_flagship_values(self, two_tap):
