@@ -7,13 +7,15 @@ attempt counter of that stream, so results are independent of evaluation
 order and reproducible bit for bit.  All estimators draw through one
 per-stream routine, and each realization is drawn once per call: every
 interval, disorder strength or offset of a sweep is evaluated on the same
-field.  ``fractional_moment``, ``green_decay_profile`` and
-``minami_determinant`` read resolvent entries through ``_green_rows``, the one
-routine that picks the path: the batched tridiagonal kernel ``chain_green``
-for a complex energy on a chain, one ``green_column`` call per site and
-realization otherwise.  ``green_column`` eliminates a d >= 2 box at a complex
-energy slab by slab and solves every other case (non-chain explicit volumes,
-real energies) densely.
+field.  Two routers pick the path to the finite-volume operator.
+``fractional_moment``, ``green_decay_profile``, ``minami_determinant`` and
+``recursion_probe`` read resolvent entries through ``_green_rows``: the
+batched tridiagonal kernel ``chain_green`` for a complex energy on a chain,
+one ``green_column`` call per site and realization otherwise (slab by slab on
+a d >= 2 box at a complex energy, densely on other volumes and at real
+energies).  ``wegner_count`` and ``two_level_probability`` read eigenvalue
+counts through ``_count_rows``.  ``fvc_probability`` needs the whole
+resolvent and inverts each operator densely.
 """
 
 from __future__ import annotations
@@ -139,19 +141,20 @@ def _green_rows(
     model: AlloyModel, volume: FiniteVolume, z: complex, sites, cols, lams, counts,
     n_samples: int, master_seed: int, reduce,
 ):
-    """``reduce(g, first)`` over blocks of realizations, concatenated, and the
-    number of redraws.
+    """``reduce(g, fields, first)`` over blocks of realizations, concatenated,
+    and the number of redraws.
 
     ``g[i, j, k, c] = G(z; sites[k], cols[c])`` for realization ``first + i``
-    at ``lams[j]``, filled while ``first + i < counts[j]`` and nan after.  A
-    complex ``z`` on a chain takes the batched kernel over blocks of fields,
-    and ``reduce`` runs on each block after its draws, so nothing it raises
-    is redrawn.  Otherwise each realization is solved by ``green_column``
-    (slab by slab on a d >= 2 box at a complex ``z``, densely on any other
-    volume or at a real ``z``) and reduced as a one-row block inside its
-    draw: a ``NumericalError`` from the solve or from ``reduce`` (a real
-    energy hitting the spectrum) redraws only that stream, except
-    ``_InvariantViolation``, which propagates at once.
+    at ``lams[j]``, filled while ``first + i < counts[j]`` and nan after;
+    ``fields[i]`` is that realization's field.  A complex ``z`` on a chain
+    takes the batched kernel over blocks of fields, and ``reduce`` runs on
+    each block after its draws, so nothing it raises is redrawn.  Otherwise
+    each realization is solved by ``green_column`` (slab by slab on a d >= 2
+    box at a complex ``z``, densely on any other volume or at a real ``z``)
+    and reduced as a one-row block inside its draw: a ``NumericalError`` from
+    the solve or from ``reduce`` (a real energy hitting the spectrum) redraws
+    only that stream, except ``_InvariantViolation``, which propagates at
+    once.
     """
     shape = (len(lams), len(sites), len(cols))
     nan = complex(np.nan, np.nan)
@@ -163,7 +166,7 @@ def _green_rows(
                 if m > first:
                     rows = chain_green(lam * fields[: m - first], z, sites)
                     g[: m - first, j] = rows[:, :, cols]
-            return reduce(g, first)
+            return reduce(g, fields, first)
 
         return _realizations(model, volume, n_samples, master_seed, lambda real: real.field, block)
 
@@ -174,27 +177,36 @@ def _green_rows(
                 op = assemble(real, lam)
                 for k, site in enumerate(sites):
                     g[0, j, k] = green_column(op, z, volume.points[site])[cols]
-        return reduce(g, real.stream_index)[0]
+        return reduce(g, real.field[None], real.stream_index)[0]
 
     rows, redraws = _realizations(model, volume, n_samples, master_seed, row)
     return np.asarray(rows), redraws
 
 
-def _counts(evals: np.ndarray, intervals) -> list[float]:
-    """Number of sorted eigenvalues in each closed interval."""
-    return [
-        float(np.searchsorted(evals, b, side="right") - np.searchsorted(evals, a, side="left"))
-        for a, b in intervals
-    ]
+def _count_rows(
+    model: AlloyModel, volume: FiniteVolume, intervals, n_samples: int, master_seed: int
+):
+    """Count of the eigenvalues at ``model.lam`` in each closed, nondegenerate
+    interval ``[a, b]``, one float row per realization, and the number of
+    redraws."""
+    for a, b in intervals:
+        if not b > a:
+            raise ValidationError("interval must be nondegenerate")
+    a, b = np.asarray(intervals, dtype=float).reshape(-1, 2).T
+
+    def count(real):
+        evals = spectrum(assemble(real, model.lam))
+        return np.searchsorted(evals, b, side="right") - np.searchsorted(evals, a, side="left")
+
+    rows, redraws = _realizations(model, volume, n_samples, master_seed, count)
+    return np.asarray(rows, dtype=float), redraws
 
 
 def _require_inside(volume: FiniteVolume, *points) -> list[int]:
-    idx = []
-    for p in points:
-        i = volume.index_of(p)
+    idx = [volume.index_of(p) for p in points]
+    for p, i in zip(points, idx):
         if i < 0:
-            raise ValidationError(f"point {p!r} is outside the volume")
-        idx.append(i)
+            raise ValidationError(f"point {as_point(p, volume.dimension)} is outside the volume")
     return idx
 
 
@@ -221,7 +233,7 @@ def fractional_moment(
     z = complex(z)
     values, redraws = _green_rows(
         model, volume, z, [iy], [ix], [model.lam], [n_samples], n_samples, master_seed,
-        lambda g, first: np.abs(g[:, 0, 0, 0]) ** s,
+        lambda g, fields, first: np.abs(g[:, 0, 0, 0]) ** s,
     )
     meta: dict = {
         "s": s,
@@ -293,7 +305,7 @@ def green_decay_profile(
 
     data, redraws = _green_rows(
         model, volume, z, [ix], cols, [model.lam], [n_samples], n_samples, master_seed,
-        lambda g, first: np.abs(g[:, 0, 0]) ** s,
+        lambda g, fields, first: np.abs(g[:, 0, 0]) ** s,
     )
     estimates = [
         _mean_estimate(data[:, j], master_seed, {"distance": int(dists[j]), "redraws": redraws})
@@ -336,13 +348,7 @@ def wegner_count(
     implied empirical constant (estimate divided by
     ``(1/lam) * ||rho||_Var * |I| * (2L+1)**(2d+N)``).
     """
-    for a, b in intervals:
-        if not b > a:
-            raise ValidationError("interval must be nondegenerate")
-    rows, redraws = _realizations(
-        model, volume, n_samples, master_seed,
-        lambda real: _counts(spectrum(assemble(real, model.lam)), intervals),
-    )
+    rows, redraws = _count_rows(model, volume, intervals, n_samples, master_seed)
     try:
         order = vanishing_order(model.potential).order
         tv = density_norms(model.measure).total_variation
@@ -350,7 +356,7 @@ def wegner_count(
     except (ValidationError, NumericalError) as exc:
         pieces = {"bound_note": str(exc)}
     out = []
-    for (a, b), counts in zip(intervals, np.asarray(rows).T.copy()):
+    for (a, b), counts in zip(intervals, rows.T.copy()):
         meta: dict = {
             "interval": [a, b], "volume_points": len(volume), "redraws": redraws, **pieces
         }
@@ -412,7 +418,7 @@ def minami_determinant(
         raise ValidationError("need one sample count in [1, n_samples] per disorder strength")
     pair = [ix, iy]
 
-    def dets(g, first):
+    def dets(g, fields, first):
         # rows are realizations from ``first`` on; unused entries are nan
         im = g.imag
         out = im[..., 0, 0] * im[..., 1, 1] - im[..., 0, 1] * im[..., 1, 0]
@@ -473,15 +479,8 @@ def two_level_probability(
 ) -> TwoLevelResult:
     """Estimate ``P(at least two eigenvalues in I)`` and ``E[k(k-1)/2]``."""
     a, b = interval
-    if not b > a:
-        raise ValidationError("interval must be nondegenerate")
-
-    def reduce(real):
-        (k,) = _counts(spectrum(assemble(real, model.lam)), [(a, b)])
-        return 1.0 if k >= 2 else 0.0, 0.5 * k * (k - 1)
-
-    rows, redraws = _realizations(model, volume, n_samples, master_seed, reduce)
-    indicator, half = np.asarray(rows).T.copy()
+    rows, redraws = _count_rows(model, volume, [interval], n_samples, master_seed)
+    k = rows[:, 0]
     meta = {"interval": [a, b], "volume_points": len(volume), "redraws": redraws}
     bound = None
     note = None
@@ -493,8 +492,8 @@ def two_level_probability(
     except (ValidationError, NumericalError) as exc:
         note = str(exc)
     return TwoLevelResult(
-        p_two=_mean_estimate(indicator, master_seed, dict(meta)),
-        half_moment=_mean_estimate(half, master_seed, dict(meta)),
+        p_two=_mean_estimate((k >= 2).astype(float), master_seed, dict(meta)),
+        half_moment=_mean_estimate(0.5 * k * (k - 1), master_seed, dict(meta)),
         bound=bound,
         bound_note=note,
     )
@@ -553,29 +552,25 @@ def recursion_probe(
     ix, iy = _require_inside(volume, x, y)
     if ix == iy:
         raise ValidationError("the recursion is off-diagonal; need x != y")
-    neighbor_idx = volume.neighbors(iy)
 
-    def reduce(real):
-        per_lam = []
-        for lam in lams:
-            op = assemble(real, lam)
-            row = green_column(op, complex(energy), x)
-            g_y = row[iy]
-            neigh = row[neighbor_idx]
-            residual = abs(neigh.sum() - (op.diagonal[iy] - energy) * g_y) / (1.0 + abs(g_y))
-            if residual > residual_tol:
-                raise NumericalError(f"resolvent identity residual {residual:.3e}")
-            per_lam.append((abs(g_y) ** s, float(np.sum(np.abs(neigh) ** s)), residual))
-        return per_lam
+    def reduce(g, fields, first):
+        # g[i, j] is G(E; x, .) at y, then at y's neighbours, for lams[j]
+        g_y, neigh = g[:, :, 0, 0], g[:, :, 0, 1:]
+        defect = neigh.sum(axis=-1) - (fields[:, [iy]] * lams - energy) * g_y
+        residual = np.abs(defect) / (1.0 + np.abs(g_y))
+        if np.any(residual > residual_tol):
+            raise NumericalError(f"resolvent identity residual {np.nanmax(residual):.3e}")
+        # float_power rounds as libm's pow, like a scalar ``**``; ``**`` on
+        # arrays may differ in the last bit
+        lhs = np.float_power(np.abs(g_y), s)
+        return np.stack([lhs, (np.abs(neigh) ** s).sum(axis=-1), residual], axis=-1)
 
-    draws, redraws = _realizations(model, volume, n_samples, master_seed, reduce)
-    rows = []
-    skipped = []
-    max_res = 0.0
-    for j, lam in enumerate(lams):
-        lhs = np.asarray([d[j][0] for d in draws])
-        rhs = np.asarray([d[j][1] for d in draws])
-        max_res = max(max_res, max(d[j][2] for d in draws))
+    draws, redraws = _green_rows(
+        model, volume, complex(energy), [ix], [iy, *volume.neighbors(iy)], lams,
+        [n_samples] * len(lams), n_samples, master_seed, reduce,
+    )
+    rows, skipped = [], []
+    for lam, (lhs, rhs, _) in zip(lams, draws.transpose(1, 2, 0).copy()):
         lhs_est = _mean_estimate(lhs, master_seed, {"lam": lam, "redraws": redraws})
         rhs_est = _mean_estimate(rhs, master_seed, {"lam": lam})
         if rhs_est.value <= 2 * rhs_est.stderr:
@@ -583,6 +578,7 @@ def recursion_probe(
             continue
         implied = lam**s * lhs_est.value / rhs_est.value
         rows.append(RecursionRow(lam=lam, lhs=lhs_est, rhs_sum=rhs_est, implied_constant=implied))
+    max_res = float(draws[..., 2].max())
     return RecursionProbe(rows=rows, max_residual=max_res, s=s, skipped=skipped)
 
 
@@ -599,7 +595,8 @@ def fvc_probability(
     The event asks ``|G(E; x, y)| <= L**-exponent`` simultaneously for all
     pairs at sup-distance at least ``L/2`` in a box of radius ``L``; the
     exponent must exceed ``3d - 1``.  Real energies hitting an eigenvalue
-    force a redraw (counted in the metadata).
+    force a redraw (counted in the metadata).  It reads the whole resolvent,
+    where one dense inverse beats ``n`` guarded ``green_column`` solves.
     """
     if volume.kind != "box" or volume.radius is None:
         raise ValidationError("the smallness event is defined on a box volume")

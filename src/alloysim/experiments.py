@@ -452,7 +452,7 @@ def _run_certificate(cfg: ExperimentConfig, outdir: Path):
             first_violation = report.violations
     frac = n_pass / len(res.couplings)
     results = {
-        "frequency": res.frequency.to_record("conditional_concentration", cfg.config_hash),
+        "frequency": res.frequency.to_record(),
         "acceptance_rate": res.acceptance_rate,
         "sampler": res.sampler,
         "certificate_pass_fraction": frac,
@@ -539,7 +539,7 @@ def _run_fractional_moment(cfg: ExperimentConfig, outdir: Path):
         cfg.model, vol, complex(*p["z"]), p["x"], p["y"],
         p["s"], p["n_samples"], cfg.seed,
     )
-    rec = est.to_record("fractional_moment", cfg.config_hash)
+    rec = est.to_record()
     bound = est.metadata.get("bound")
     if bound is not None:
         rec["passed"] = bool(est.value <= bound + 3 * est.stderr)
@@ -620,7 +620,7 @@ def _run_minami(cfg: ExperimentConfig, outdir: Path):
         cfg.model, vol, z, p["x"], p["y"], [cfg.model.lam, *lams], max(counts), cfg.seed,
         lam_samples=counts,
     )
-    rec = est.to_record("minami_determinant", cfg.config_hash)
+    rec = est.to_record()
     bound = est.metadata.get("bound")
     ok = est.value <= bound + 3 * est.stderr if bound is not None else None
     if lams:
@@ -651,10 +651,8 @@ def _run_two_level(cfg: ExperimentConfig, outdir: Path):
     )
     pointwise = res.p_two.value <= res.half_moment.value + 1e-15
     results = {
-        "p_two": res.p_two.to_record("two_level_probability", cfg.config_hash),
-        "half_factorial_moment": res.half_moment.to_record(
-            "half_factorial_moment", cfg.config_hash
-        ),
+        "p_two": res.p_two.to_record(),
+        "half_factorial_moment": res.half_moment.to_record(),
         "bound": res.bound,
         "chain_pointwise_ok": bool(pointwise),
     }
@@ -709,7 +707,7 @@ def _run_fvc(cfg: ExperimentConfig, outdir: Path):
     est = fvc_probability(
         cfg.model, vol, p["energy"], p["exponent"], p["n_samples"], cfg.seed,
     )
-    rec = est.to_record("fvc_probability", cfg.config_hash)
+    rec = est.to_record()
     if "min_probability" in p:
         rec["passed"] = bool(est.value >= p["min_probability"])
     return rec, []
@@ -945,12 +943,9 @@ def run(
     except (NumericalError, NonintegrableError) as exc:
         print(str(exc), file=sys.stderr)
         return 3
-    record = {
-        "operation": cfg.kind,
-        "config_hash": cfg.config_hash,
-        "seed": cfg.seed,
-        **_jsonable(results),
-    }
+    # written last, so that no runner's keys can override them
+    record = {**_jsonable(results), "operation": cfg.kind, "config_hash": cfg.config_hash,
+              "seed": cfg.seed}
     with open(outdir / "results.json", "w") as fh:
         json.dump(record, fh, indent=2, sort_keys=True)
         fh.write("\n")

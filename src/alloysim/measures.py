@@ -47,15 +47,15 @@ class CouplingMeasure:
     @classmethod
     def uniform(cls, lo: float = 0.0, hi: float = 1.0) -> "CouplingMeasure":
         """Uniform law on ``[lo, hi]``."""
-        if not (hi > lo):
-            raise ValidationError("uniform measure needs hi > lo")
+        if not -math.inf < lo < hi < math.inf:
+            raise ValidationError("uniform measure needs finite ends with hi > lo")
         return cls("uniform", {"lo": float(lo), "hi": float(hi)})
 
     @classmethod
     def gaussian(cls, mean: float = 0.0, variance: float = 1.0) -> "CouplingMeasure":
         """Normal law with the given mean and variance."""
-        if variance <= 0:
-            raise ValidationError("gaussian measure needs variance > 0")
+        if not (math.isfinite(mean) and 0 < variance < math.inf):
+            raise ValidationError("gaussian measure needs a finite mean and variance > 0")
         return cls("gaussian", {"mean": float(mean), "variance": float(variance)})
 
     @classmethod
@@ -63,8 +63,8 @@ class CouplingMeasure:
         """Two-point law: ``levels[1]`` with probability ``p``, else ``levels[0]``."""
         if not 0.0 <= p <= 1.0:
             raise ValidationError("bernoulli probability must lie in [0, 1]")
-        if len(levels) != 2:
-            raise ValidationError("bernoulli needs exactly two levels")
+        if len(levels) != 2 or not all(map(math.isfinite, levels)):
+            raise ValidationError("bernoulli needs exactly two finite levels")
         return cls("bernoulli", {"p": float(p), "levels": (float(levels[0]), float(levels[1]))})
 
     @classmethod
@@ -75,8 +75,8 @@ class CouplingMeasure:
         smooth stand-in wherever a bounded measure with an integrable density
         derivative is required.
         """
-        if not (hi > lo):
-            raise ValidationError("cosine measure needs hi > lo")
+        if not -math.inf < lo < hi < math.inf:
+            raise ValidationError("cosine measure needs finite ends with hi > lo")
         return cls("cosine", {"lo": float(lo), "hi": float(hi)})
 
     @classmethod

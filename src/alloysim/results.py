@@ -5,7 +5,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -39,11 +39,9 @@ class Estimate:
             metadata=metadata,
         )
 
-    def to_record(self, operation: str, config_hash: Optional[str] = None) -> dict:
+    def to_record(self) -> dict:
         """Flat result record used by the experiment writers."""
         rec = {
-            "operation": operation,
-            "config_hash": config_hash,
             "seed": self.master_seed,
             "value": self.value,
             "stderr": self.stderr,

@@ -1,3 +1,4 @@
+import itertools
 import math
 from dataclasses import replace as dc_replace
 
@@ -134,6 +135,11 @@ class TestDecayProfile:
                 30,
                 master_seed=53,
             )
+
+    def test_outside_offset_names_the_point(self, anderson_gaussian):
+        vol = build_volume(1, radius=4)
+        with pytest.raises(al.ValidationError, match=r"^point \(5,\) is outside the volume$"):
+            al.green_decay_profile(anderson_gaussian, vol, 0.1j, 0, [[1], [5]], 0.5, 10, 0)
 
     @pytest.mark.parametrize("x, offsets", [(0, [[1], [1.5], [2]]), ([0.5], [[1], [2], [3]])])
     def test_non_integer_point_rejected(self, anderson_gaussian, x, offsets):
@@ -397,6 +403,162 @@ class TestSweepOracles:
             al.minami_determinant(
                 anderson_gaussian, vol, 0.1j, 0, 1, [5.0, 10.0], 30, 0, lam_samples=lam_samples
             )
+
+
+def _pre_router_recursion(model, vol, energy, x, y, s, lams, n, seed, residual_tol=1e-8):
+    """``recursion_probe``'s per-draw reduction as it was before it read its
+    entries through ``_green_rows``: one dense ``green_column`` per lam."""
+    iy = vol.index_of(y)
+    neighbor_idx = vol.neighbors(iy)
+
+    def reduce(real):
+        per_lam = []
+        for lam in lams:
+            op = al.assemble(real, lam)
+            row = al.green_column(op, complex(energy), x)
+            g_y = row[iy]
+            neigh = row[neighbor_idx]
+            residual = abs(neigh.sum() - (op.diagonal[iy] - energy) * g_y) / (1.0 + abs(g_y))
+            if residual > residual_tol:
+                raise al.NumericalError(f"resolvent identity residual {residual:.3e}")
+            per_lam.append((abs(g_y) ** s, float(np.sum(np.abs(neigh) ** s)), residual))
+        return per_lam
+
+    return _realizations(model, vol, n, seed, reduce)
+
+
+def _pre_router_counts(model, vol, intervals, n, seed):
+    """``wegner_count``'s per-draw reduction before ``_count_rows``."""
+
+    def reduce(real):
+        evals = al.spectrum(al.assemble(real, model.lam))
+        return [
+            float(np.searchsorted(evals, b, side="right") - np.searchsorted(evals, a, side="left"))
+            for a, b in intervals
+        ]
+
+    return _realizations(model, vol, n, seed, reduce)
+
+
+def _pre_router_two_level(model, vol, interval, n, seed):
+    """``two_level_probability``'s per-draw reduction before ``_count_rows``."""
+    a, b = interval
+
+    def reduce(real):
+        evals = al.spectrum(al.assemble(real, model.lam))
+        k = float(np.searchsorted(evals, b, side="right") - np.searchsorted(evals, a, side="left"))
+        return 1.0 if k >= 2 else 0.0, 0.5 * k * (k - 1)
+
+    return _realizations(model, vol, n, seed, reduce)
+
+
+@pytest.fixture
+def bernoulli_chain(two_tap):
+    """Two-tap chain of 5 sites with Bernoulli(0.3) couplings at lam = 3."""
+    return AlloyModel(two_tap, al.CouplingMeasure.bernoulli(0.3), 3.0), build_volume(1, radius=2)
+
+
+class TestRouterOracles:
+    """The routed estimators equal their pre-router reductions bit for bit,
+    redraws included."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("dimension", [1, 2])
+    def test_recursion(self, anderson_gaussian, dimension, seed):
+        vol = build_volume(dimension, radius=5 if dimension == 1 else 2)
+        x, y = ([-3], [2]) if dimension == 1 else ([-2, 0], [1, 1])
+        self._check_recursion(anderson_gaussian, vol, 0.3, x, y, [5.0, 10.0, 20.0], seed)
+
+    def test_recursion_energy_on_the_spectrum_redraws(self, bernoulli_chain):
+        # every field with all couplings 0 has the eigenvalue 0 at each lam
+        model, vol = bernoulli_chain
+        redraws = self._check_recursion(model, vol, 0.0, -2, 0, [3.0, 6.0], 2)
+        assert redraws > 0
+
+    @staticmethod
+    def _check_recursion(model, vol, energy, x, y, lams, seed):
+        draws, redraws = _pre_router_recursion(model, vol, energy, x, y, 0.5, lams, 200, seed)
+        probe = al.recursion_probe(model, vol, energy, x, y, 0.5, lams, 200, seed)
+        assert not probe.skipped
+        assert probe.max_residual == max(d[j][2] for d in draws for j in range(len(lams)))
+        for j, (lam, row) in enumerate(zip(lams, probe.rows)):
+            assert row.lam == lam and row.lhs.metadata["redraws"] == redraws
+            assert (row.lhs.value, row.lhs.stderr) == _mean_and_stderr([d[j][0] for d in draws])
+            assert (row.rhs_sum.value, row.rhs_sum.stderr) == _mean_and_stderr(
+                [d[j][1] for d in draws]
+            )
+        return redraws
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("dimension", [1, 2])
+    def test_counts(self, anderson_gaussian, dimension, seed):
+        vol = build_volume(dimension, radius=4 if dimension == 1 else 1)
+        intervals = [(-1.0, 1.0), (-0.5, 0.5), (0.2, 3.0)]
+        self._check_counts(anderson_gaussian, vol, intervals, seed)
+
+    def test_counts_with_a_redraw(self, anderson_gaussian, draws, monkeypatch):
+        spy = estimators.sample_field
+
+        def flaky(*args):
+            real = spy(*args)
+            if args[4:6] == (3, 0):
+                raise al.NumericalError("rejected draw")
+            return real
+
+        monkeypatch.setattr(estimators, "sample_field", flaky)
+        assert self._check_counts(anderson_gaussian, build_volume(1, radius=4),
+                                  [(-1.0, 1.0), (0.2, 3.0)], 5) == 1
+
+    @staticmethod
+    def _check_counts(model, vol, intervals, seed):
+        rows, redraws = _pre_router_counts(model, vol, intervals, 100, seed)
+        for j, est in enumerate(al.wegner_count(model, vol, intervals, 100, seed)):
+            assert (est.value, est.stderr) == _mean_and_stderr([row[j] for row in rows])
+            assert est.metadata["redraws"] == redraws
+        for interval in intervals:
+            pairs, two_redraws = _pre_router_two_level(model, vol, interval, 100, seed)
+            res = al.two_level_probability(model, vol, interval, 100, seed)
+            indicator, half = np.asarray(pairs).T
+            assert (res.p_two.value, res.p_two.stderr) == _mean_and_stderr(indicator)
+            assert (res.half_moment.value, res.half_moment.stderr) == _mean_and_stderr(half)
+            assert res.p_two.metadata["redraws"] == two_redraws == redraws
+        return redraws
+
+
+class TestExactExpectations:
+    """Monte Carlo counts against their exact expectation, summed over all
+    2**6 coupling configurations of the Bernoulli chain and solved densely;
+    no interval end lies near any configuration's spectrum."""
+
+    @pytest.fixture
+    def spectra(self):
+        # field(x) = c_x + c_{x-1} on x = -2..2 from the couplings c_-3 .. c_2
+        configs = np.array(list(itertools.product([0.0, 1.0], repeat=6)))
+        weights = np.prod(np.where(configs == 1.0, 0.3, 0.7), axis=1)
+        fields = configs[:, 1:] + configs[:, :-1]
+        hop = -(np.eye(5, k=1) + np.eye(5, k=-1))
+        return weights, np.array([np.linalg.eigvalsh(np.diag(3.0 * f) + hop) for f in fields])
+
+    @staticmethod
+    def _exact_counts(spectra, a, b):
+        assert np.abs(spectra - a).min() > 1e-2 and np.abs(spectra - b).min() > 1e-2
+        return ((spectra >= a) & (spectra <= b)).sum(axis=1)
+
+    def test_wegner_count(self, bernoulli_chain, spectra):
+        weights, evals = spectra
+        intervals = [(-0.9, 0.3), (0.9, 4.1), (0.25, 3.2)]
+        ests = al.wegner_count(*bernoulli_chain, intervals, 2000, master_seed=11)
+        for (a, b), est in zip(intervals, ests):
+            exact = weights @ self._exact_counts(evals, a, b)
+            assert abs(est.value - exact) < 4 * est.stderr
+
+    def test_two_level_probability(self, bernoulli_chain, spectra):
+        weights, evals = spectra
+        k = self._exact_counts(evals, 0.9, 4.1)
+        res = al.two_level_probability(*bernoulli_chain, (0.9, 4.1), 2000, master_seed=12)
+        assert abs(res.p_two.value - weights @ (k >= 2)) < 4 * res.p_two.stderr
+        exact_half = weights @ (0.5 * k * (k - 1))
+        assert abs(res.half_moment.value - exact_half) < 4 * res.half_moment.stderr
 
 
 class TestChainKernelRouting:

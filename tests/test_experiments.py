@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import importlib.util
 import json
@@ -363,6 +364,43 @@ class TestRun:
         results = json.loads((out / "results.json").read_text())
         assert results["integral"] == pytest.approx(2 * math.sqrt(2), abs=1e-6)
         assert results["passed"] is True
+
+    def test_every_kind_records_its_kind_hash_and_seed(self, tmp_path):
+        # one small config per kind: the shipped one with fewer samples, or a
+        # hand-written one for the kinds no suite member runs
+        configs = {}
+        for path in ACCEPTANCE:
+            payload = json.loads(path.read_text())
+            configs.setdefault(payload["kind"], payload)
+        configs["poisson"] = copy.deepcopy(configs["poisson"])
+        configs["poisson"]["params"].update(
+            stats_radius=20, ids_radius=20, ids_realizations=3, n_grid=201
+        )
+        configs["gaussian-conditioning"] = copy.deepcopy(configs["gaussian-conditioning"])
+        configs["gaussian-conditioning"]["params"]["tau_mc"].update(n_target=256, chains=16)
+        for kind, params in {
+            "fvc": {"radius": 3, "energy": 0.37, "exponent": 3.0, "n_samples": 20},
+            "ids": {"radius": 5, "n_realizations": 10, "n_grid": 51},
+            "reverse-holder": {"measure": UNIFORM01, "s": 0.5, "q1": [1.0, 0.5], "q2": [1.0]},
+        }.items():
+            configs[kind] = {"schema_version": 1, "kind": kind, "seed": 3, "params": params}
+            if kind != "reverse-holder":
+                configs[kind]["model"] = FLAGSHIP_MODEL
+        assert sorted(configs) == experiment_kinds()
+        for kind, payload in configs.items():
+            payload = copy.deepcopy(payload)
+            for key in ("n_samples", "scaling_samples"):
+                if key in payload["params"]:
+                    payload["params"][key] = min(payload["params"][key], 200)
+            out = tmp_path / kind
+            assert run(write_config(tmp_path / f"{kind}.json", payload), out=str(out)) == 0
+            results = json.loads((out / "results.json").read_text())
+            manifest = json.loads((out / "manifest.json").read_text())
+            assert results["operation"] == kind
+            assert results["config_hash"] == manifest["config_hash"]
+            assert results["seed"] == payload["seed"]
+            nested = [v for v in results.values() if isinstance(v, dict)]
+            assert not any("operation" in v or "config_hash" in v for v in nested)
 
 
 class TestSuite:

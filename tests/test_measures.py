@@ -27,6 +27,30 @@ class TestConstruction:
         with pytest.raises(al.ValidationError):
             CouplingMeasure.bernoulli(1.5)
 
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: CouplingMeasure.gaussian(0.0, math.nan),
+            lambda: CouplingMeasure.gaussian(math.nan, 1.0),
+            lambda: CouplingMeasure.gaussian(math.inf, 1.0),
+            lambda: CouplingMeasure.gaussian(0.0, math.inf),
+            lambda: CouplingMeasure.bernoulli(0.5, (0.0, math.inf)),
+            lambda: CouplingMeasure.bernoulli(0.5, (0.0, math.nan)),
+            lambda: CouplingMeasure.bernoulli(math.nan),
+            lambda: CouplingMeasure.uniform(-math.inf, 0.0),
+            lambda: CouplingMeasure.uniform(0.0, math.nan),
+            lambda: CouplingMeasure.cosine(0.0, math.inf),
+            lambda: CouplingMeasure.cosine(-math.inf, 0.0),
+        ],
+        ids=["gaussian-nan-variance", "gaussian-nan-mean", "gaussian-inf-mean",
+             "gaussian-inf-variance", "bernoulli-inf-level", "bernoulli-nan-level",
+             "bernoulli-nan-p", "uniform-inf-end", "uniform-nan-end", "cosine-inf-end",
+             "cosine-minus-inf-end"],
+    )
+    def test_non_finite_params_rejected(self, build):
+        with pytest.raises(al.ValidationError):
+            build()
+
     def test_grid_density_must_normalize(self):
         x = np.linspace(0, 1, 11)
         with pytest.raises(al.ValidationError):
