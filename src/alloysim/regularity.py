@@ -274,7 +274,15 @@ def conditional_concentration_mc(
     site; batch ``a`` of group ``j`` is 65536 draws from
     ``stream_rng(master_seed, j, a)``, and couplings in no group come from
     ``stream_rng(master_seed, len(groups))``.  Gibbs draws from
-    ``stream_rng(master_seed, 0)``.
+    ``stream_rng(master_seed, 0)``; its lift to couplings consumes the
+    ``(n_target, m)`` standard normals in row blocks, the same doubles in the
+    same order as one draw, with a one-row remainder joined to the block
+    before it.
+
+    Memory: each Gibbs block is reduced to ``eta`` as it is drawn, so the
+    sampler holds the kept field vectors ``(n_target, n_con)`` plus one
+    block; the ``(n_target, m)`` couplings are built only for
+    ``keep_couplings``.
 
     Raises
     ------
@@ -327,6 +335,7 @@ def conditional_concentration_mc(
         couplings, n_draws = _sample_groups(
             model.measure, w_event, groups, ev_lo, ev_hi, n_target, master_seed, max_draws
         )
+        blocks = [couplings]
         acceptance = n_target * len(groups) / n_draws
     elif sampler == "gibbs":
         if model.measure.kind != "gaussian":
@@ -335,7 +344,7 @@ def conditional_concentration_mc(
         for name, value, least in settings:
             if value < least:
                 raise ValidationError(f"gibbs {name} must be at least {least}, got {value!r}")
-        couplings = _gibbs_sample_event(
+        blocks = _gibbs_sample_event(
             model.measure, w_event, ev_lo, ev_hi, n_target, master_seed, chains, burn_in, thin
         )
         n_draws = n_target
@@ -343,7 +352,12 @@ def conditional_concentration_mc(
     else:
         raise ValidationError(f"unknown sampler {sampler!r}")
 
-    eta = couplings @ w_target
+    etas, kept = [], []
+    for block in blocks:
+        etas.append(block @ w_target)
+        if keep_couplings:
+            kept.append(block)
+    eta = np.concatenate(etas)
     inside = (eta >= lo_t) & (eta <= hi_t)
     freq = Estimate.proportion(
         np.mean(inside), len(eta), master_seed,
@@ -364,7 +378,7 @@ def conditional_concentration_mc(
         eta_mean=float(np.mean(eta)),
         eta_var=float(np.var(eta)),
         coupling_points=coupling_points,
-        couplings=couplings if keep_couplings else None,
+        couplings=np.concatenate(kept) if keep_couplings else None,
     )
 
 
@@ -420,8 +434,13 @@ def _sample_groups(measure, w_event, groups, ev_lo, ev_hi, n_target, seed, max_d
     return out, total
 
 
+# Rows per block of the Gibbs sampler's lift from field values to couplings.
+_LIFT_ROWS = 4096
+
+
 def _gibbs_sample_event(measure, w_event, ev_lo, ev_hi, n_target, seed, chains, burn_in, thin):
-    """Two-stage conditional sampler for Gaussian couplings.
+    """Two-stage conditional sampler for Gaussian couplings, yielding the
+    ``(n_target, m)`` couplings as consecutive row blocks.
 
     Stage 1 runs Gibbs over the constrained field values themselves: a
     Gaussian vector of dimension equal to the number of conditioned sites,
@@ -436,7 +455,11 @@ def _gibbs_sample_event(measure, w_event, ev_lo, ev_hi, n_target, seed, chains, 
     1 runs ``burn_in + ceil(n_target / chains) * thin`` sweeps, and each sweep
     consumes one ``(n_con, chains)`` block of uniforms, row ``i`` feeding the
     update of coordinate ``i`` in every chain, coordinates in order.  Stage 2
-    then consumes one ``(n_target, m)`` block of standard normals.
+    then consumes the ``(n_target, m)`` standard normals in blocks of
+    ``_LIFT_ROWS`` rows, the same doubles in the same order as one draw, and
+    lifts each block as it is drawn; a one-row remainder joins the block
+    before it.  The sampler holds the kept field vectors ``(n_target,
+    n_con)`` and one block, never the whole coupling array.
     """
     center = measure.params["mean"]
     sigma = math.sqrt(measure.params["variance"])
@@ -501,9 +524,14 @@ def _gibbs_sample_event(measure, w_event, ev_lo, ev_hi, n_target, seed, chains, 
             kept_y[(sweep - burn_in) // thin - 1] = y
     ys = kept_y.reshape(-1, n_con)[:n_target]
 
-    draws = center + sigma * rng.standard_normal((len(ys), m))
-    resid = ys - draws @ w_event.T
-    return draws + resid @ np.linalg.solve(gram, sigma * sigma * w_event)
+    lift = np.linalg.solve(gram, sigma * sigma * w_event)
+    edges = list(range(0, n_target, _LIFT_ROWS)) + [n_target]
+    if len(edges) > 2 and edges[-1] - edges[-2] == 1:
+        # numpy sends a one-row product to gemv, which can round unlike gemm
+        del edges[-2]
+    for a, b in zip(edges, edges[1:]):
+        draws = center + sigma * rng.standard_normal((b - a, m))
+        yield draws + (ys[a:b] - draws @ w_event.T) @ lift
 
 
 # ---------------------------------------------------------------------------

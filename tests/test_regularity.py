@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,7 +20,14 @@ from alloysim import (
     uniform_pair_concentration,
 )
 from alloysim.errors import NumericalError
-from alloysim.regularity import _BATCH, _disjoint_groups, _gibbs_sample_event, _sample_groups
+from alloysim.regularity import (
+    _BATCH,
+    _LIFT_ROWS,
+    _disjoint_groups,
+    _gibbs_sample_event,
+    _sample_groups,
+    _site_weight_vector,
+)
 from alloysim.rng import stream_rng
 
 
@@ -353,7 +361,7 @@ class TestConditionalMC:
         hi = lo + rs.uniform(0.05, 1.5, size=n_con)
         measure = al.CouplingMeasure.gaussian(0.3, 2.0)
         args = (measure, w_event, lo, hi, n_target, 23, chains, burn_in, thin)
-        out = _gibbs_sample_event(*args)
+        out = np.concatenate(list(_gibbs_sample_event(*args)))
         assert out.shape == (n_target, m)
         assert np.array_equal(out, _reference_gibbs(*args))
 
@@ -365,7 +373,8 @@ class TestConditionalMC:
             w_event[row, k + 5] = w_event[row, k + 6] = 1.0
         tau = np.full(len(sites), 0.08)
         args = (gaussian01, w_event, -tau, tau, 600, 5, 64, 20, 3)
-        assert np.array_equal(_gibbs_sample_event(*args), _reference_gibbs(*args))
+        out = np.concatenate(list(_gibbs_sample_event(*args)))
+        assert np.array_equal(out, _reference_gibbs(*args))
 
     @pytest.mark.parametrize(
         "bad",
@@ -401,6 +410,83 @@ class TestConditionalMC:
             conditional_concentration_mc(
                 flagship_model, 0, (0.0, 2.0), event, 100, 0, sampler="gibbs"
             )
+
+
+# Row counts at and around the lift's block edges, plus a one-row run.
+_LIFT_EDGES = [
+    1,
+    _LIFT_ROWS - 1,
+    _LIFT_ROWS,
+    _LIFT_ROWS + 1,
+    _LIFT_ROWS + 2,
+    2 * _LIFT_ROWS + 1,
+    3 * _LIFT_ROWS + 17,
+]
+
+
+def _pin_event_rows(sites):
+    """A Gaussian two-tap chain, its field weights at the pinned ``sites``
+    and its weights at the target site 0."""
+    model = AlloyModel(
+        al.build_single_site(1, {(0,): 1.0, (1,): 1.0}), al.CouplingMeasure.gaussian(0.2, 1.5), 1.0
+    )
+    _, weights = _site_weight_vector(model, [(k,) for k in sites] + [(0,)])
+    return model, weights[:-1], weights[-1]
+
+
+class TestGibbsLiftBlocks:
+    @pytest.mark.parametrize("n_target", _LIFT_EDGES)
+    @pytest.mark.parametrize("n_con, m", [(1, 1), (3, 5), (10, 12)])
+    def test_blocks_concatenate_to_reference(self, n_target, n_con, m):
+        rs = np.random.default_rng(100 * n_con + m)
+        w_event = rs.normal(size=(n_con, m))
+        lo = rs.normal(size=n_con)
+        hi = lo + rs.uniform(0.05, 1.5, size=n_con)
+        measure = al.CouplingMeasure.gaussian(-0.4, 1.7)
+        args = (measure, w_event, lo, hi, n_target, 31, 256, 2, 1)
+        blocks = list(_gibbs_sample_event(*args))
+        sizes = [len(b) for b in blocks]
+        assert sizes[:-1] == [_LIFT_ROWS] * (len(blocks) - 1)
+        # a one-row block only when the whole run is one row
+        assert sizes[-1] >= 2 or n_target == 1
+        assert sizes[-1] <= _LIFT_ROWS + 1
+        assert np.array_equal(np.concatenate(blocks), _reference_gibbs(*args))
+
+    @pytest.mark.parametrize("n_target", _LIFT_EDGES)
+    @pytest.mark.parametrize(
+        "sites", [[1], [-2, -1, 2], [k for k in range(-5, 6) if k != 0]], ids=["1", "3", "10"]
+    )
+    def test_eta_and_couplings_match_reference(self, n_target, sites):
+        model, w_event, w_target = _pin_event_rows(sites)
+        values = np.full(len(sites), 0.1)
+        event = PinEvent(sites=[(k,) for k in sites], values=values, tolerance=0.08)
+        ref = _reference_gibbs(
+            model.measure, w_event, values - 0.08, values + 0.08, n_target, 7, 256, 2, 1
+        )
+        res = conditional_concentration_mc(
+            model, 0, (-0.5, 0.5), event, n_target, 7,
+            sampler="gibbs", chains=256, burn_in=2, thin=1, keep_couplings=True,
+        )
+        assert np.array_equal(res.eta_values, ref @ w_target)
+        assert np.array_equal(res.couplings, ref)
+
+    def test_peak_memory_is_kept_fields_plus_one_block(self, two_tap, gaussian01):
+        # the suite's pin event: two-tap chain, sites -5..5 but 0
+        sites = [k for k in range(-5, 6) if k != 0]
+        model = AlloyModel(two_tap, gaussian01, 1.0)
+        event = PinEvent(sites=[(k,) for k in sites], values=[0.0] * len(sites), tolerance=0.08)
+        n_target, n_con = 60_000, len(sites)
+        tracemalloc.start()
+        try:
+            conditional_concentration_mc(
+                model, 0, (-1.0, 1.0), event, n_target, 0,
+                sampler="gibbs", chains=256, burn_in=0, thin=1,
+            )
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # kept_y alone is n_target * n_con * 8 bytes; one block and eta fit beside it
+        assert peak < 2 * n_target * n_con * 8
 
 
 class TestPinningCertificate:
