@@ -22,8 +22,9 @@ import os
 import shutil
 import sys
 import traceback
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, replace as dc_replace
+from dataclasses import asdict, dataclass, field as dc_field, replace as dc_replace
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Callable, Optional
@@ -105,7 +106,7 @@ def _jsonable(obj):
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Validated experiment description with its canonical hash."""
+    """Validated experiment description, its canonical hash and its file's bytes."""
 
     kind: str
     seed: int
@@ -113,6 +114,7 @@ class ExperimentConfig:
     params: dict
     out: Optional[str]
     config_hash: str
+    _source: bytes = dc_field(repr=False)
 
 
 @dataclass
@@ -152,8 +154,9 @@ def load_config(
     under reordering and independent of where the artifacts land.
     """
     try:
-        with open(path) as fh:
-            data = json.load(fh)
+        with open(path, "rb") as fh:
+            source = fh.read()
+        data = json.loads(source.decode())
     except OSError as exc:
         raise ValidationError(f"cannot read config: {exc}") from exc
     except ValueError as exc:
@@ -200,6 +203,7 @@ def load_config(
         params=params,
         out=out,
         config_hash=_canonical_hash(semantic),
+        _source=source,
     )
 
 
@@ -353,7 +357,6 @@ _MODEL = {
     "lambda": _num(0),
     "single_site": _list(_Param(_site_entry)),
     "measure": _MEASURE,
-    "decay_cutoff": _num(0, default=0.0),
 }
 
 
@@ -375,7 +378,7 @@ _SUITE = {
 def _read_model(data) -> AlloyModel:
     dim = data.get("dimension") if isinstance(data, dict) else None
     m = _read_params(_MODEL, data, "model", dim)
-    u = build_single_site(m["dimension"], m["single_site"], decay_cutoff=m["decay_cutoff"])
+    u = build_single_site(m["dimension"], m["single_site"])
     return AlloyModel(u, m["measure"], m["lambda"])
 
 
@@ -946,10 +949,13 @@ def run(
     # written last, so that no runner's keys can override them
     record = {**_jsonable(results), "operation": cfg.kind, "config_hash": cfg.config_hash,
               "seed": cfg.seed}
+    # an earlier run's manifest must not vouch for this run's results
+    (outdir / "manifest.json").unlink(missing_ok=True)
     with open(outdir / "results.json", "w") as fh:
         json.dump(record, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    shutil.copyfile(config_path, outdir / "config.json")
+    # the validated bytes: the config path may be this very file
+    (outdir / "config.json").write_bytes(cfg._source)
     emitted = ["results.json", "config.json"] + list(files) + ["manifest.json"]
     manifest = RunManifest(
         config_hash=cfg.config_hash,
@@ -1003,8 +1009,9 @@ def suite(manifest_path) -> int:
     ``passed: false`` makes the suite exit nonzero; the other members'
     artifacts are still written.  A member whose run raises an unexpected
     exception gets exit code 4 and its traceback in the report.  A malformed
-    manifest (``name`` and ``out`` strings, ``configs`` a list of strings) or
-    an ``ALLOYSIM_WORKERS`` that is not an integer >= 1 exits 2 before any
+    manifest (``name`` and ``out`` strings, ``configs`` a list of strings),
+    two members with the same output subdirectory (the config file's stem),
+    or an ``ALLOYSIM_WORKERS`` that is not an integer >= 1 exits 2 before any
     member runs or anything is written, and so does a report directory that
     cannot be created.
     """
@@ -1024,15 +1031,17 @@ def suite(manifest_path) -> int:
     out_root = Path(data.get("out", base / f"{manifest_path.stem}_results"))
     if not out_root.is_absolute():
         out_root = base / out_root
+    jobs = [(str(base / c), str(out_root / Path(c).stem)) for c in data["configs"]]
+    shared = [d for d, n in Counter(d for _, d in jobs).items() if n > 1]
+    if shared:
+        print(f"suite manifest error: two members write to {shared[0]}", file=sys.stderr)
+        return 2
     try:
         out_root.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         msg = f"cannot create suite output directory {out_root}: {exc.strerror}"
         print(msg, file=sys.stderr)
         return 2
-    jobs = [
-        (str(base / c), str(out_root / Path(c).stem)) for c in data["configs"]
-    ]
     if workers > 1 and len(jobs) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             members = list(pool.map(_suite_member, jobs))

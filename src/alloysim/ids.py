@@ -93,35 +93,23 @@ def _default_grid(model: AlloyModel, pooled: np.ndarray, n_points: int) -> np.nd
     return np.linspace(lo, hi, n_points)
 
 
-def _finite_increasing(grid: np.ndarray) -> bool:
-    return bool(np.all(np.isfinite(grid)) and np.all(np.diff(grid) > 0))
-
-
 def ids_estimate(
     model: AlloyModel,
     volume: FiniteVolume,
     n_realizations: int,
     master_seed: int,
-    energy_grid: Optional[np.ndarray] = None,
     n_grid: int = 20001,
 ) -> IdsTable:
     """Pooled normalized eigenvalue counting function.
 
-    The default grid spans the deterministic spectral enclosure when the
-    coupling measure has bounded support, so every finite-volume eigenvalue
-    at the same disorder strength interpolates inside the table.
+    The ``n_grid`` energies span the deterministic spectral enclosure when
+    the coupling measure has bounded support, so every finite-volume
+    eigenvalue at the same disorder strength interpolates inside the table.
     """
     if n_realizations < 1:
         raise ValidationError("need at least one realization")
-    if energy_grid is not None:
-        energy_grid = np.asarray(energy_grid, dtype=float)
-        if energy_grid.ndim != 1 or len(energy_grid) < 2 or not _finite_increasing(energy_grid):
-            raise ValidationError(
-                "energy grid must be one-dimensional, finite and strictly increasing"
-            )
     pooled = np.sort(np.concatenate(list(_spectra(model, volume, n_realizations, master_seed))))
-    if energy_grid is None:
-        energy_grid = _default_grid(model, pooled, n_grid)
+    energy_grid = _default_grid(model, pooled, n_grid)
     values = np.searchsorted(pooled, energy_grid, side="right") / (
         n_realizations * len(volume)
     )
@@ -170,7 +158,8 @@ def ids_positivity_probe(
     epsilon is fitted whenever at least two increments are positive.
     """
     eps = np.sort(np.asarray(eps_grid, dtype=float))
-    if eps.ndim != 1 or len(eps) == 0 or eps[0] <= 0 or not _finite_increasing(eps):
+    finite_increasing = np.all(np.isfinite(eps)) and np.all(np.diff(eps) > 0)
+    if eps.ndim != 1 or len(eps) == 0 or eps[0] <= 0 or not finite_increasing:
         raise ValidationError("epsilon grid must be positive, finite and without repeats")
     if eps[0] < ids.resolution:
         raise ValidationError(
@@ -396,11 +385,14 @@ def _ks_exponential(gaps: np.ndarray) -> float:
     return float(np.max(np.maximum(grid - cdf, cdf - (grid - 1.0 / n))))
 
 
+# Fewest rescaled spectra the statistics accept.
+_MIN_REALIZATIONS = 200
+
+
 def poisson_statistics(
     spectra: Sequence[RescaledSpectrum],
     window: tuple[float, float] = (-5.0, 5.0),
     bin_width: float = 0.25,
-    min_realizations: int = 200,
 ) -> PoissonReport:
     """Count, gap, and histogram statistics of rescaled eigenvalues.
 
@@ -415,9 +407,9 @@ def poisson_statistics(
     unit-window count histogram against the Poisson(1) law by chi-square
     with tail bins merged to expected count at least 5.
     """
-    if len(spectra) < min_realizations:
+    if len(spectra) < _MIN_REALIZATIONS:
         raise ValidationError(
-            f"need at least {min_realizations} realizations, got {len(spectra)}"
+            f"need at least {_MIN_REALIZATIONS} realizations, got {len(spectra)}"
         )
     lo, hi, n_windows = _unit_windows(window)
     if bin_width <= 0:

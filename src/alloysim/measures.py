@@ -328,22 +328,22 @@ def declared_holder(measure: CouplingMeasure) -> tuple[float, float]:
 
 def holder_parameters(
     measure: CouplingMeasure,
-    eps_grid: Optional[Sequence[float]] = None,
     *,
     alpha: Optional[float] = None,
     c1: Optional[float] = None,
-    t_grid: Optional[Sequence[float]] = None,
 ) -> HolderCheck:
     """Verify ``mu([t - eps, t + eps]) <= C1 * eps**alpha`` on a grid.
 
     ``alpha``/``c1`` default to the measure's declared analytic values.  The
-    check never raises on failure; it reports the maximal observed ratio and
-    the witnessing ``(t, eps)`` so callers can decide.  Atomic measures fail
-    for every positive ``alpha`` (the ratio diverges at the atoms) and that is
-    exactly what the returned witness shows.
+    grid is fixed: 241 centers across the support (the mean +- 6 sd for a
+    gaussian) padded by a tenth of its width, and 25 geometric widths up to
+    that width.  The check never raises on failure; it reports the maximal
+    observed ratio and the witnessing ``(t, eps)`` so callers can decide.
+    Atomic measures fail for every positive ``alpha`` (the ratio diverges at
+    the atoms) and that is exactly what the returned witness shows.
     """
     if alpha is None or c1 is None:
-        if measure.kind == "bernoulli" and (alpha is None or c1 is None):
+        if measure.kind == "bernoulli":
             raise ValidationError("atomic measures need explicit alpha and c1 to test against")
         da, dc = declared_holder(measure)
         alpha = da if alpha is None else alpha
@@ -356,22 +356,17 @@ def holder_parameters(
         m, s = measure.params["mean"], math.sqrt(measure.params["variance"])
         lo, hi = m - 6 * s, m + 6 * s
     scale = hi - lo
-    if eps_grid is None:
-        eps_grid = np.geomspace(1e-4 * scale, scale, 25)
-        if measure.kind == "bernoulli":
-            # a point mass w violates w <= c1 * eps**alpha once eps is small
-            # enough; include that eps explicitly so the witness is found
-            w_min = min(measure.atom_weights().values())
-            eps_star = (w_min / (2.0 * c1)) ** (1.0 / alpha)
-            eps_grid = np.unique(np.concatenate([eps_grid, [eps_star]]))
-    if t_grid is None:
-        pad = 0.1 * scale
-        t_grid = np.linspace(lo - pad, hi + pad, 241)
-        if measure.kind == "bernoulli":
-            t_grid = np.unique(np.concatenate([t_grid, list(measure.params["levels"])]))
+    eps_grid = np.geomspace(1e-4 * scale, scale, 25)
+    t_grid = np.linspace(lo - 0.1 * scale, hi + 0.1 * scale, 241)
+    if measure.kind == "bernoulli":
+        # a point mass w violates w <= c1 * eps**alpha once eps is small
+        # enough; include that eps and the atoms so the witness is found
+        w_min = min(measure.atom_weights().values())
+        eps_star = (w_min / (2.0 * c1)) ** (1.0 / alpha)
+        eps_grid = np.unique(np.concatenate([eps_grid, [eps_star]]))
+        t_grid = np.unique(np.concatenate([t_grid, list(measure.params["levels"])]))
 
-    t = np.asarray(t_grid, dtype=float)[:, None]
-    eps = np.asarray(eps_grid, dtype=float)[None, :]
+    t, eps = t_grid[:, None], eps_grid[None, :]
     ratios = measure.interval_mass(t - eps, t + eps) / eps**alpha
     i, j = np.unravel_index(int(np.argmax(ratios)), ratios.shape)
     max_ratio = float(ratios[i, j])

@@ -40,9 +40,7 @@ class SingleSitePotential:
     """Finitely supported single-site profile.
 
     ``points`` are lexicographically sorted lattice points (tuples of ints),
-    ``values`` the matching nonzero coefficients.  ``decay_cutoff`` records
-    the truncation threshold when the profile came from an exponentially
-    decaying family (0.0 means the profile is exact).
+    ``values`` the matching nonzero coefficients.
 
     The sign-structure and certificate constants are cached on first read
     (the fields are frozen, so they cannot go stale); equality and hashing
@@ -52,7 +50,6 @@ class SingleSitePotential:
     dimension: int
     points: tuple[tuple[int, ...], ...]
     values: tuple[float, ...]
-    decay_cutoff: float = 0.0
 
     def as_dict(self) -> dict[tuple[int, ...], float]:
         return dict(zip(self.points, self.values))
@@ -161,11 +158,7 @@ class SingleSitePotential:
         return self.n_points * self.max_abs / self.min_abs
 
 
-def build_single_site(
-    dimension: int,
-    entries: Iterable[tuple],
-    decay_cutoff: float = 0.0,
-) -> SingleSitePotential:
+def build_single_site(dimension: int, entries: Iterable[tuple]) -> SingleSitePotential:
     """Validate and sort a profile given as ``(point, value)`` pairs.
 
     A ``{point: value}`` mapping works too.  Values must be finite and
@@ -187,14 +180,11 @@ def build_single_site(
         seen[pt] = val
     if not seen:
         raise ValidationError("profile support must be nonempty")
-    if decay_cutoff < 0:
-        raise ValidationError("decay_cutoff must be non-negative")
     pts = tuple(sorted(seen))
     return SingleSitePotential(
         dimension=dimension,
         points=pts,
         values=tuple(seen[p] for p in pts),
-        decay_cutoff=float(decay_cutoff),
     )
 
 
@@ -204,8 +194,7 @@ def exponential_profile_entries(
     """Entries of ``amplitude * exp(-rate * |k|_1)`` truncated at ``cutoff``.
 
     Helper for building the exponentially decaying profiles some bounds
-    assume; pass the result to :func:`build_single_site` with
-    ``decay_cutoff=cutoff``.
+    assume; pass the result to :func:`build_single_site`.
     """
     if amplitude <= 0 or rate <= 0 or not 0 < cutoff <= amplitude:
         raise ValidationError("need amplitude, rate > 0 and 0 < cutoff <= amplitude")
@@ -381,11 +370,7 @@ def _rate_constants(u: SingleSitePotential) -> tuple[float, float]:
 
 
 def uniform_bound_constants(
-    u: SingleSitePotential,
-    s: float,
-    measure: Optional[CouplingMeasure] = None,
-    *,
-    grad_l1: Optional[float] = None,
+    u: SingleSitePotential, s: float, measure: CouplingMeasure
 ) -> UniformBoundConstants:
     """Constants ``(c, C, coefficient)`` of the uniform fractional-moment bound.
 
@@ -395,9 +380,8 @@ def uniform_bound_constants(
         Profile with positive coefficient sum and at least two support points.
     s : float
         Moment order, strictly between 0 and 1.
-    measure : CouplingMeasure, optional
-        Source of the density-derivative norm; alternatively pass ``grad_l1``
-        directly.
+    measure : CouplingMeasure
+        Source of the density-derivative norm ``grad_l1``.
 
     Notes
     -----
@@ -413,10 +397,7 @@ def uniform_bound_constants(
         raise ConstantUndefinedError(
             "rate constant undefined for a single-point support (diameter 0)"
         )
-    if grad_l1 is None:
-        if measure is None:
-            raise ValidationError("pass a measure or an explicit grad_l1")
-        grad_l1 = density_norms(measure).grad_l1
+    grad_l1 = density_norms(measure).grad_l1
     if not math.isfinite(grad_l1):
         raise ValidationError("density derivative norm is not finite for this measure")
     rate, prod = _rate_constants(u)

@@ -132,12 +132,10 @@ class ConcentrationCurve:
 
     eps: np.ndarray
     values: np.ndarray
-    stderr: Optional[np.ndarray]
-    mode: str  # "exact" or "empirical"
+    stderr: np.ndarray
 
     def to_csv(self, path) -> None:
-        stderr = [None] * len(self.eps) if self.stderr is None else self.stderr
-        write_csv(path, ["eps", "value", "stderr"], zip(self.eps, self.values, stderr))
+        write_csv(path, ["eps", "value", "stderr"], zip(self.eps, self.values, self.stderr))
 
 
 def concentration_curve(
@@ -159,7 +157,6 @@ def concentration_curve(
         eps=np.asarray(eps_grid, dtype=float),
         values=np.asarray([est.value for est in ests]),
         stderr=np.asarray([est.stderr for est in ests]),
-        mode="empirical",
     )
 
 
@@ -242,7 +239,6 @@ def conditional_concentration_mc(
     n_target: int,
     master_seed: int,
     sampler: str = "auto",
-    max_draws: int = 20_000_000,
     chains: int = 256,
     burn_in: int = 300,
     thin: int = 3,
@@ -287,12 +283,11 @@ def conditional_concentration_mc(
     Raises
     ------
     ValidationError
-        For a malformed target, site, event or sampler choice, for rejection
-        or stratified with ``max_draws < 1``, and for gibbs with
-        ``chains < 1``, ``burn_in < 0`` or ``thin < 1``, before any draw.
+        For a malformed target, site, event or sampler choice, and for gibbs
+        with ``chains < 1``, ``burn_in < 0`` or ``thin < 1``, before any draw.
     NumericalError
-        When rejection or stratified sampling reaches ``max_draws`` draws
-        before ``n_target`` acceptances (the message suggests widening the
+        When rejection or stratified sampling spends ``_MAX_DRAWS`` (20
+        million) draws before ``n_target`` acceptances (the message suggests widening the
         event or switching sampler).
     """
     if n_target <= 0:
@@ -330,10 +325,8 @@ def conditional_concentration_mc(
             )
         else:
             groups = strata
-        if max_draws < 1:
-            raise ValidationError(f"max_draws must be at least 1, got {max_draws!r}")
         couplings, n_draws = _sample_groups(
-            model.measure, w_event, groups, ev_lo, ev_hi, n_target, master_seed, max_draws
+            model.measure, w_event, groups, ev_lo, ev_hi, n_target, master_seed
         )
         blocks = [couplings]
         acceptance = n_target * len(groups) / n_draws
@@ -394,11 +387,13 @@ def _disjoint_groups(w_event: np.ndarray) -> Optional[list[tuple[np.ndarray, np.
     return groups
 
 
-# Joint draws per batch of one group of the box sampler.
+# Joint draws per batch of one group of the box sampler, and the draws over
+# all groups after which it gives up.
 _BATCH = 65536
+_MAX_DRAWS = 20_000_000
 
 
-def _sample_groups(measure, w_event, groups, ev_lo, ev_hi, n_target, seed, max_draws):
+def _sample_groups(measure, w_event, groups, ev_lo, ev_hi, n_target, seed):
     """Exact conditional couplings under the event box, and the draws spent.
 
     Each group ``(rows, cols)`` holds event rows whose couplings ``cols`` no
@@ -415,7 +410,7 @@ def _sample_groups(measure, w_event, groups, ev_lo, ev_hi, n_target, seed, max_d
         w, lo, hi = w_event[np.ix_(rows, cols)], ev_lo[rows], ev_hi[rows]
         kept, n_kept = [], 0  # one kept block per batch, so batch a = len(kept)
         while n_kept < n_target:
-            if total >= max_draws:
+            if total >= _MAX_DRAWS:
                 raise NumericalError(
                     f"sampler accepted {n_kept}/{n_target} on group {j} after {total} draws "
                     "(acceptance too small: widen the event band or use stratified/gibbs)"
@@ -565,14 +560,15 @@ def pinning_certificate(
     u: SingleSitePotential,
     delta: float,
     delta_prime: float,
-    couplings: Union[Mapping[int, float], "object"],
+    couplings: Mapping[int, float],
 ) -> CertificateReport:
     """Verify the interval chain a two-sided band event forces on couplings.
 
     Setting: d = 1, support {0, ..., n-1}, couplings valued in [0, 1], and a
     realization satisfying the band event (field values at -1 and n-1 within
-    ``delta_prime`` below the positive coefficient sum).  The report checks,
-    coupling by coupling:
+    ``delta_prime`` below the positive coefficient sum), given as a mapping
+    from coupling index ``k`` to ``omega(k)``.  The report checks, coupling
+    by coupling:
 
     1. the left band pins ``omega(-1-k)`` near 1 for positive coefficients
        and near 0 for negative ones;
@@ -589,9 +585,7 @@ def pinning_certificate(
     if not 0 < delta_prime <= delta:
         raise ValidationError("need 0 < delta_prime <= delta")
 
-    get = couplings.coupling_at if hasattr(couplings, "coupling_at") else (
-        lambda k: float(couplings[k])
-    )
+    omega = {k: float(v) for k, v in couplings.items()}
     n = u.n_points
     lookup = u.as_dict()
     u_min, u_max = u.min_abs, u.max_abs
@@ -609,14 +603,14 @@ def pinning_certificate(
     def layer(name, items):
         checks = []
         for idx, lohi in items:
-            val = get(idx)
+            val = omega[idx]
             checks.append((idx, val, lohi[0], lohi[1], member(val, lohi)))
         return CertificateStep(name, tuple(checks))
 
     pos, neg = set(u.support_pos), set(u.support_neg)
     band = (s_plus - delta_prime, s_plus)
-    eta_left = sum(lookup[(k,)] * get(-1 - k) for k in range(n))
-    eta_right = sum(lookup[(k,)] * get(n - 1 - k) for k in range(n))
+    eta_left = sum(lookup[(k,)] * omega[-1 - k] for k in range(n))
+    eta_right = sum(lookup[(k,)] * omega[n - 1 - k] for k in range(n))
     event_step = CertificateStep(
         "event",
         (
@@ -633,7 +627,7 @@ def pinning_certificate(
         [(-k, near_one) for k in top] + [(-k, near_zero) for k in bottom],
     )
 
-    eta_center = sum(lookup[(k,)] * get(-k) for k in range(n))
+    eta_center = sum(lookup[(k,)] * omega[-k] for k in range(n))
     target = (center - slope * delta_prime, center + slope * delta_prime)
     final = CertificateStep(
         "center-interval",

@@ -357,6 +357,32 @@ class TestRun:
         assert "offsets" in capsys.readouterr().err
         assert (out / "keep.txt").read_text() == "mine"
 
+    def test_rerun_from_the_copied_config_into_its_own_directory(self, tmp_path, capsys):
+        cfg = concentration_config(tmp_path)
+        out = tmp_path / "r1"
+        assert run(cfg, out=str(out)) == 0
+        assert main(["run", str(out / "config.json"), "--out", str(out), "--seed", "5"]) == 0
+        assert (out / "config.json").read_bytes() == cfg.read_bytes()
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert json.loads((out / "results.json").read_text())["seed"] == manifest["seed"] == 5
+        capsys.readouterr()
+
+    def test_rerun_interrupted_before_its_manifest_leaves_none(self, tmp_path, monkeypatch):
+        # results.json of the second run must not sit beside the first run's
+        # manifest, which would vouch for seed 11
+        cfg = concentration_config(tmp_path)
+        out = tmp_path / "r1"
+        assert run(cfg, out=str(out)) == 0
+
+        def interrupted(**fields):
+            raise RuntimeError("interrupted")
+
+        monkeypatch.setattr(experiments, "RunManifest", interrupted)
+        with pytest.raises(RuntimeError, match="interrupted"):
+            run(cfg, seed=5, out=str(out))
+        assert json.loads((out / "results.json").read_text())["seed"] == 5
+        assert not (out / "manifest.json").exists()
+
     def test_inverse_moment_equality_run(self, tmp_path):
         cfg = inverse_moment_config(tmp_path)
         out = tmp_path / "im"
@@ -545,6 +571,45 @@ class TestSuite:
         assert "cannot create suite output directory" in captured.err
         assert "inverse-moment" not in captured.out
         assert sorted(tmp_path.rglob("*")) == before
+
+    @pytest.mark.parametrize(
+        "configs", [["a/c.json", "b/c.json"], ["a/c.json", "a/c.json"]],
+        ids=["same-stem", "listed-twice"],
+    )
+    def test_members_sharing_an_output_dir_exit_2_and_write_nothing(
+        self, tmp_path, capsys, configs
+    ):
+        for sub in ("a", "b"):
+            (tmp_path / sub).mkdir()
+            inverse_moment_config(tmp_path / sub, "c.json")
+        manifest = write_config(
+            tmp_path / "suite.json", {"schema_version": 1, "configs": configs, "out": "results"}
+        )
+        before = sorted(tmp_path.rglob("*"))
+        assert suite(manifest) == 2
+        captured = capsys.readouterr()
+        assert "two members write to" in captured.err and "inverse-moment" not in captured.out
+        assert sorted(tmp_path.rglob("*")) == before
+
+    def test_two_workers_match_a_serial_run_byte_for_byte(self, tmp_path, monkeypatch, capsys):
+        members = [str(REPO / "suites/acceptance_checks" / f"{m}.json")
+                   for m in ("concentration", "decay", "wegner")]
+        outputs = {}
+        for workers in ("1", "2"):
+            monkeypatch.setenv("ALLOYSIM_WORKERS", workers)
+            out = tmp_path / f"workers{workers}"
+            manifest = write_config(
+                tmp_path / f"suite{workers}.json",
+                {"schema_version": 1, "configs": members, "out": out.name},
+            )
+            assert suite(manifest) == 0
+            outputs[workers] = {
+                p.relative_to(out): p.read_bytes()
+                for p in out.rglob("*") if p.name == "results.json" or p.suffix == ".csv"
+            }
+        assert len(outputs["1"]) == 6
+        assert outputs["2"] == outputs["1"]
+        capsys.readouterr()
 
     @pytest.mark.parametrize("workers", ["two", "0", "-1"])
     def test_bad_worker_count_exits_2_before_any_member(

@@ -190,48 +190,51 @@ class TestConvolutionInverse:
 
 
 class TestUniformBoundConstants:
-    def test_flagship_values(self, two_tap):
-        consts = al.uniform_bound_constants(two_tap, s=0.5, grad_l1=2.0)
+    def test_flagship_values(self, two_tap, uniform01):
+        consts = al.uniform_bound_constants(two_tap, s=0.5, measure=uniform01)
         assert consts.rate == pytest.approx(math.log(1.5))
         assert consts.product_constant == pytest.approx(5.0)
         expected = (8.0 / 2.0**0.5) * (0.5**-0.5 / 0.5) * 2.0**0.5 * 5.0**0.5
         assert consts.coefficient == pytest.approx(expected)
 
-    def test_two_dimensional_product_constant(self):
+    def test_two_dimensional_product_constant(self, uniform01):
         u = build_single_site(2, [((0, 0), 1.0), ((1, 0), 1.0)])
-        consts = al.uniform_bound_constants(u, s=0.5, grad_l1=2.0)
+        consts = al.uniform_bound_constants(u, s=0.5, measure=uniform01)
         assert consts.product_constant == pytest.approx(25.0)
 
     def test_measure_supplies_gradient_norm(self, two_tap, uniform01):
-        direct = al.uniform_bound_constants(two_tap, s=0.5, grad_l1=2.0)
-        via_measure = al.uniform_bound_constants(two_tap, s=0.5, measure=uniform01)
-        assert via_measure.coefficient == pytest.approx(direct.coefficient)
+        # the coefficient scales as grad_l1**s: uniform(0, 2) halves grad_l1
+        unit = al.uniform_bound_constants(two_tap, s=0.5, measure=uniform01)
+        wide_measure = al.CouplingMeasure.uniform(0.0, 2.0)
+        wide = al.uniform_bound_constants(two_tap, s=0.5, measure=wide_measure)
+        assert (unit.grad_l1, wide.grad_l1) == (2.0, 1.0)
+        assert wide.coefficient == pytest.approx(unit.coefficient * 0.5**0.5)
 
-    def test_single_point_support_rejected(self, delta_profile):
+    def test_single_point_support_rejected(self, delta_profile, uniform01):
         with pytest.raises(al.ConstantUndefinedError):
-            al.uniform_bound_constants(delta_profile, s=0.5, grad_l1=2.0)
+            al.uniform_bound_constants(delta_profile, s=0.5, measure=uniform01)
 
-    def test_bound_decreasing_in_coupling(self, two_tap):
-        consts = al.uniform_bound_constants(two_tap, s=0.5, grad_l1=2.0)
+    def test_bound_decreasing_in_coupling(self, two_tap, uniform01):
+        consts = al.uniform_bound_constants(two_tap, s=0.5, measure=uniform01)
         values = [consts.bound(lam) for lam in [5.0, 10.0, 50.0]]
         assert values[0] > values[1] > values[2]
         assert values[1] == pytest.approx(consts.coefficient / 10.0**0.5)
 
-    def test_invalid_s_rejected(self, two_tap):
+    def test_invalid_s_rejected(self, two_tap, uniform01):
         for s in [0.0, 1.0, -0.5]:
             with pytest.raises(al.ValidationError):
-                al.uniform_bound_constants(two_tap, s=s, grad_l1=2.0)
+                al.uniform_bound_constants(two_tap, s=s, measure=uniform01)
 
-    def test_nonpositive_total_rejected(self):
+    def test_nonpositive_total_rejected(self, uniform01):
         u = build_single_site(1, [((0,), 1.0), ((1,), -2.0)])
         with pytest.raises(al.ValidationError):
-            al.uniform_bound_constants(u, s=0.5, grad_l1=2.0)
+            al.uniform_bound_constants(u, s=0.5, measure=uniform01)
 
 
 class TestExponentialProfile:
     def test_entries_decay(self):
         entries = al.exponential_profile_entries(1, amplitude=1.0, rate=1.0, cutoff=math.exp(-3.0))
-        u = build_single_site(1, entries, decay_cutoff=math.exp(-3.0))
+        u = build_single_site(1, entries)
         assert u.value_at(0) == pytest.approx(1.0)
         assert u.value_at(2) == pytest.approx(math.exp(-2.0))
         assert u.value_at(-3) == pytest.approx(math.exp(-3.0))

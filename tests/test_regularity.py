@@ -172,7 +172,6 @@ class TestEmpiricalConcentration:
             flagship_model, 0, eps_grid=[0.25, 0.5, 1.0, 1.5], n_samples=20_000, master_seed=7
         )
         assert np.all(np.diff(curve.values) > 0)
-        assert curve.mode == "empirical"
 
     def test_curve_matches_empirical_per_width(self, flagship_model):
         eps_grid = [0.3, 0.7, 1.2]
@@ -230,7 +229,8 @@ class TestConditionalMC:
         assert res.sampler == "stratified"
         assert res.n_accepted == 500
 
-    def test_rejection_exhaustion_raises(self, flagship_model):
+    def test_rejection_exhaustion_raises(self, flagship_model, monkeypatch):
+        monkeypatch.setattr("alloysim.regularity._MAX_DRAWS", 65_536)
         event = BandEvent(sites=((-1,), (1,)), lo=1.999, hi=2.0)
         with pytest.raises(al.NumericalError):
             conditional_concentration_mc(
@@ -241,7 +241,6 @@ class TestConditionalMC:
                 n_target=100,
                 master_seed=3,
                 sampler="rejection",
-                max_draws=65_536,
             )
 
     def test_band_event_pins_center_value(self, flagship_model):
@@ -276,7 +275,7 @@ class TestConditionalMC:
         w_event = _two_tap_rows(centers, m)
         ev_lo, ev_hi = np.full(len(centers), lo), np.full(len(centers), hi)
         groups = _disjoint_groups(w_event)
-        out, n_draws = _sample_groups(uniform01, w_event, groups, ev_lo, ev_hi, n_target, 9, 10**8)
+        out, n_draws = _sample_groups(uniform01, w_event, groups, ev_lo, ev_hi, n_target, 9)
         ref, ref_draws = _reference_stratified(
             uniform01, w_event, [cols for _, cols in groups], ev_lo, ev_hi, n_target, 9, 10**8, _BATCH
         )
@@ -288,7 +287,7 @@ class TestConditionalMC:
         w_event = _two_tap_rows([0, 1], 3)  # overlapping rows: no stratification
         ev_lo, ev_hi = np.array([0.8, 1.0]), np.array([1.4, 1.6])
         groups = [(np.arange(2), np.arange(3))]
-        out, n_draws = _sample_groups(uniform01, w_event, groups, ev_lo, ev_hi, 500, 4, 10**8)
+        out, n_draws = _sample_groups(uniform01, w_event, groups, ev_lo, ev_hi, 500, 4)
         ref, ref_draws = _reference_rejection(uniform01, w_event, ev_lo, ev_hi, 500, 4, 10**8, _BATCH)
         assert n_draws == ref_draws == _BATCH
         assert np.array_equal(out, ref)
@@ -382,25 +381,18 @@ class TestConditionalMC:
             {"chains": 0},
             {"thin": 0},
             {"burn_in": -1},
-            {"max_draws": 0, "sampler": "rejection"},
-            {"max_draws": 0, "sampler": "stratified"},
         ],
     )
     def test_gibbs_rejects_bad_chain_settings_before_drawing(
         self, two_tap, gaussian01, monkeypatch, bad
     ):
-        # the box samplers' max_draws is checked the same way: an input
-        # error, not a numerical failure after the draws
         def no_draws(*args):
             raise AssertionError("a stream was derived before validation")
 
         monkeypatch.setattr("alloysim.regularity.stream_rng", no_draws)
         model = AlloyModel(potential=two_tap, measure=gaussian01, lam=1.0)
         settings = {"sampler": "gibbs", "chains": 4, "burn_in": 2, "thin": 1, **bad}
-        if settings["sampler"] == "gibbs":
-            event = PinEvent(sites=((-1,), (1,)), values=(0.3, -0.2), tolerance=0.05)
-        else:
-            event = BandEvent(sites=((-1,), (1,)), lo=0.0, hi=1.0)
+        event = PinEvent(sites=((-1,), (1,)), values=(0.3, -0.2), tolerance=0.05)
         with pytest.raises(al.ValidationError, match=next(iter(bad))):
             conditional_concentration_mc(model, 0, (-1.0, 1.0), event, 10, 0, **settings)
 
