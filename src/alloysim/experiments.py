@@ -23,7 +23,6 @@ import shutil
 import sys
 import traceback
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field as dc_field, replace as dc_replace
 from datetime import datetime, timezone
 from pathlib import Path
@@ -31,6 +30,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from . import __version__
 from .errors import NonintegrableError, NumericalError, ValidationError
 from .estimators import (
     fractional_moment,
@@ -75,13 +75,6 @@ __all__ = [
     "emit_plot_data",
     "experiment_kinds",
 ]
-
-try:
-    from importlib.metadata import version as _dist_version
-
-    _VERSION = _dist_version("alloysim")
-except Exception:  # pragma: no cover - source tree without installed metadata
-    _VERSION = "0.1.0"
 
 _TOP_KEYS = {"schema_version", "kind", "seed", "model", "params", "out"}
 
@@ -320,6 +313,15 @@ def _window(v, path, dim):
     except ValidationError as exc:
         raise ValidationError(f"{path}: {exc}, got {v!r}") from None
     return pair
+
+
+def _distinct_lams(v, path, dim):
+    """Two or more distinct disorder strengths: the Minami scaling slope is a
+    straight-line fit through them, and a repeated one adds no point."""
+    lams = _list(_POSITIVE, 2).check(v, path, dim)
+    if len(set(lams)) < len(lams):
+        raise _bad(path, "a list of distinct values", v)
+    return lams
 
 
 def _site_entry(v, path, dim):
@@ -858,8 +860,7 @@ _KINDS = {
         ratio_tolerance=_num(0, default=_OPTIONAL))),
     "minami": _Kind(_run_minami, True, dict(
         radius=_RADIUS, z=_PAIR, x=_POINT, y=_POINT, n_samples=_COUNT,
-        # the scaling slope is a straight-line fit through at least two points
-        lams=_list(_POSITIVE, 2, default=_OPTIONAL),
+        lams=_Param(_distinct_lams, _OPTIONAL),
         scaling_samples=_int(1, default=_OPTIONAL))),
     "two-level": _Kind(_run_two_level, True, dict(
         radius=_RADIUS, interval=_PAIR, n_samples=_COUNT)),
@@ -961,7 +962,7 @@ def run(
         config_hash=cfg.config_hash,
         kind=cfg.kind,
         seed=cfg.seed,
-        version=_VERSION,
+        version=__version__,
         started=started,
         finished=_utcnow(),
         files=emitted,
@@ -1043,7 +1044,16 @@ def suite(manifest_path) -> int:
         print(msg, file=sys.stderr)
         return 2
     if workers > 1 and len(jobs) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        # the pool is imported only where one starts; scipy is loaded here, once,
+        # so that the members forked from this process share one import instead
+        # of each loading it on first use
+        from concurrent.futures import ProcessPoolExecutor
+
+        import scipy.linalg  # noqa: F401
+        import scipy.special  # noqa: F401
+
+        # a forking pool starts every worker at once, so it gets one per member at most
+        with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
             members = list(pool.map(_suite_member, jobs))
     else:
         members = [_suite_member(j) for j in jobs]
@@ -1083,8 +1093,12 @@ def emit_plot_data(results_dir) -> int:
     with its parts joined by ``__``, so runs of the same name in different
     subfolders keep separate files.  Runs without a manifest are skipped
     (incomplete); runs whose series files are missing are listed but not fatal.
+    A ``results_dir`` that is not a directory exits 2 with nothing written.
     """
     root = Path(results_dir)
+    if not root.is_dir():
+        print(f"validation error: {root} is not a directory", file=sys.stderr)
+        return 2
     plot_dir = root / "plot_data"
     missing = []
     emitted = []

@@ -15,7 +15,6 @@ from dataclasses import asdict, dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.special import chdtrc, gammaln, pdtrc, xlogy
 
 from .errors import NumericalError, ValidationError
 from .field import sample_field
@@ -445,7 +444,10 @@ def poisson_statistics(
     kmax = int(pooled.max())
     n_pool = len(pooled)
     # Poisson(1) pmf and tail, and the chi-square tail below, in the scipy.special
-    # forms scipy.stats evaluates, so the statistics match it bit for bit
+    # forms scipy.stats evaluates, so the statistics match it bit for bit;
+    # imported here, not at module top, so that runs without them skip the import
+    from scipy.special import chdtrc, gammaln, pdtrc, xlogy
+
     expected = [n_pool * np.exp(xlogy(k, 1.0) - gammaln(k + 1) - 1.0) for k in range(kmax + 1)]
     tail = n_pool * pdtrc(kmax, 1.0)
     observed = [int(np.sum(pooled == k)) for k in range(kmax + 1)]

@@ -15,7 +15,6 @@ from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
-import scipy.linalg
 
 from .errors import NumericalError, ValidationError
 
@@ -213,6 +212,10 @@ def assemble(realization, lam: float) -> FiniteVolumeOperator:
 def spectrum(op: FiniteVolumeOperator) -> np.ndarray:
     """Eigenvalues only (tridiagonal fast path on chains)."""
     if op.volume.is_chain and op.size > 1:
+        # imported here, not at module top: scipy.linalg would otherwise load on
+        # every run, and half the experiment kinds never diagonalize a chain
+        import scipy.linalg
+
         return scipy.linalg.eigvalsh_tridiagonal(op.diagonal, -np.ones(op.size - 1))
     return np.linalg.eigvalsh(op.matrix)
 

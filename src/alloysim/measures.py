@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.special import ndtr
 
 from .errors import NoDensityError, ValidationError
 
@@ -164,6 +163,10 @@ class CouplingMeasure:
         if self.kind == "uniform":
             return np.clip((xa - p["lo"]) / (p["hi"] - p["lo"]), 0.0, 1.0)
         if self.kind == "gaussian":
+            # imported here, not at module top: scipy.special would otherwise
+            # load on every run, and only the Gaussian CDF needs it here
+            from scipy.special import ndtr
+
             return ndtr((xa - p["mean"]) / math.sqrt(p["variance"]))
         if self.kind == "cosine":
             w = p["hi"] - p["lo"]

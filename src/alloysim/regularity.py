@@ -20,8 +20,6 @@ from dataclasses import dataclass, field as dc_field
 from typing import Mapping, Optional, Sequence, Union
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
-from scipy.special import ndtr, ndtri
 
 from .errors import NumericalError, ValidationError
 from .lattice import as_point, build_volume
@@ -456,6 +454,10 @@ def _gibbs_sample_event(measure, w_event, ev_lo, ev_hi, n_target, seed, chains, 
     before it.  The sampler holds the kept field vectors ``(n_target,
     n_con)`` and one block, never the whole coupling array.
     """
+    # imported here, once per call and never in the sweep: scipy.special would
+    # otherwise load on every run, and most experiment kinds never call it
+    from scipy.special import ndtr, ndtri
+
     center = measure.params["mean"]
     sigma = math.sqrt(measure.params["variance"])
     n_con, m = w_event.shape
@@ -699,6 +701,10 @@ def condition_gaussian_linear(
         raise NumericalError(
             f"constraint Gram matrix is numerically singular (smallest eigenvalue {eigs[0]:.3e})"
         )
+    # imported here, not at module top: scipy.linalg would otherwise load on
+    # every run, and only the Gaussian conditioning solves use it
+    from scipy.linalg import cho_factor, cho_solve
+
     cross = b @ sig @ a
     solve = cho_solve(cho_factor(gram), cross)
     variance = base_var - float(cross @ solve)

@@ -186,6 +186,7 @@ class TestRun:
             assert (out / name).exists(), name
         assert "manifest.json" == manifest["files"][-1]
         assert "concentration.csv" in manifest["files"]
+        assert manifest["version"] == al.__version__
         results = json.loads((out / "results.json").read_text())
         assert results["operation"] == "concentration"
         assert results["config_hash"] == manifest["config_hash"]
@@ -288,6 +289,10 @@ class TestRun:
             ("inverse-moment-equality", ("measure", "params", "skew"), 2),
             ("wegner", ("schema_version",), True),
             ("wegner", ("schema_version",), 1.0),
+            # the scaling slope is a fit through distinct disorder strengths
+            ("minami", ("lams",), [5.0, 5.0]),
+            ("minami", ("lams",), [5.0, 10.0, 5]),
+            ("minami", ("lams",), [5.0]),
         ],
     )
     def test_malformed_input_exits_2_without_output_dir(
@@ -611,6 +616,32 @@ class TestSuite:
         assert outputs["2"] == outputs["1"]
         capsys.readouterr()
 
+    def test_pool_has_no_more_workers_than_members(self, tmp_path, monkeypatch, capsys):
+        # a stand-in pool, so that no process is started
+        import concurrent.futures
+
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs):
+                return map(fn, jobs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setenv("ALLOYSIM_WORKERS", "8")
+        configs = [inverse_moment_config(tmp_path, f"im{i}.json") for i in range(2)]
+        assert suite(self.make_suite(tmp_path, configs)) == 0
+        assert sizes == [2]
+        capsys.readouterr()
+
     @pytest.mark.parametrize("workers", ["two", "0", "-1"])
     def test_bad_worker_count_exits_2_before_any_member(
         self, tmp_path, capsys, monkeypatch, workers
@@ -801,6 +832,15 @@ class TestCli:
         (tmp_path / "empty").mkdir()
         assert main(["emit-plot-data", str(tmp_path / "empty")]) == 0
         capsys.readouterr()
+
+    @pytest.mark.parametrize("target", ["nonexist", "results.txt"])
+    def test_emit_plot_data_on_a_non_directory_exits_2(self, tmp_path, capsys, target):
+        (tmp_path / "results.txt").write_text("not a results tree\n")
+        before = sorted(tmp_path.rglob("*"))
+        assert main(["emit-plot-data", str(tmp_path / target)]) == 2
+        captured = capsys.readouterr()
+        assert "validation error" in captured.err and "no completed runs" not in captured.out
+        assert sorted(tmp_path.rglob("*")) == before
 
     def test_missing_command_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
