@@ -43,6 +43,7 @@ from .estimators import (
 )
 from .ids import (
     RescaledSpectrum,
+    _cpus,
     _unit_windows,
     ids_estimate,
     poisson_statistics,
@@ -112,7 +113,9 @@ class ExperimentConfig:
 
 @dataclass
 class RunManifest:
-    """Completion marker: hash, seed, version, timestamps, emitted files."""
+    """Completion marker: hash, seed, version, timestamps, emitted files, and
+    the CPUs the realization loops of ``ids`` could share (outputs do not
+    depend on it)."""
 
     config_hash: str
     kind: str
@@ -121,6 +124,7 @@ class RunManifest:
     started: str
     finished: str
     files: list
+    cpus: int
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -966,6 +970,7 @@ def run(
         started=started,
         finished=_utcnow(),
         files=emitted,
+        cpus=_cpus(),
     )
     with open(outdir / "manifest.json", "w") as fh:
         json.dump(manifest.to_dict(), fh, indent=2, sort_keys=True)

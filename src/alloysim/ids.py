@@ -11,6 +11,8 @@ Poisson law.
 from __future__ import annotations
 
 import math
+import os
+import pickle
 from dataclasses import asdict, dataclass, field
 from typing import Optional, Sequence
 
@@ -74,11 +76,96 @@ class IdsTable:
         write_csv(path, ["energy", "ids"], zip(self.energies, self.values))
 
 
+# True in a process that ``_fork_map`` forked, whose own calls run serially.
+_FORKED = False
+
+
+def _cpus() -> int:
+    """Parts ``_fork_map`` runs at once: the CPUs this process may run on, or
+    1 where ``os.fork`` or ``os.sched_getaffinity`` is missing and inside a
+    forked part."""
+    if _FORKED or not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+def _forked_part(fn, rows, write_end, inherited) -> None:
+    """Child side of ``_fork_map``: send ``(True, fn(rows))``, or ``(False,
+    exception)``, pickled through ``write_end``, and leave without running
+    the parent's cleanup or flushing its buffers."""
+    global _FORKED
+    try:
+        _FORKED = True
+        for fd in inherited:
+            os.close(fd)
+        try:
+            reply = (True, fn(rows))
+        except BaseException as exc:  # handed to the parent, which raises it
+            reply = (False, exc)
+        with open(write_end, "wb") as fh:
+            fh.write(pickle.dumps(reply, pickle.HIGHEST_PROTOCOL))
+    finally:
+        os._exit(0)
+
+
+def _fork_map(fn, n_items: int) -> list:
+    """``[fn(rows) for rows in parts]``, where ``parts`` are ``_cpus()``
+    contiguous slices, at most ``n_items``, that cover ``range(n_items)`` in
+    order.
+
+    The caller runs the first part; every other part runs at the same time in
+    a child made by ``os.fork``, so ``fn`` sees the caller's memory and only
+    its result is pickled.  An exception is raised as the serial loop would
+    raise it: the earliest failing part's, once every child is reaped.  A
+    child that ends without a result raises a ``NumericalError``.  A child
+    holds only the calling thread, so a lock that another thread of the
+    caller held at the fork stays held in it.
+    """
+    k = max(1, min(_cpus(), n_items))
+    parts = [slice(n_items * i // k, n_items * (i + 1) // k) for i in range(k)]
+    children = []  # (pid, read end) of parts[1:]
+    replies = []
+    try:
+        for rows in parts[1:]:
+            read_end, write_end = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                _forked_part(fn, rows, write_end, [read_end] + [r for _, r in children])
+            os.close(write_end)
+            children.append((pid, read_end))
+        results = [fn(parts[0])]
+        for _, read_end in children:
+            with open(read_end, "rb", closefd=False) as fh:
+                replies.append(fh.read())
+    finally:
+        # closed before the wait, so that no child blocks on a full pipe
+        for _, read_end in children:
+            os.close(read_end)
+        statuses = [os.waitpid(pid, 0)[1] for pid, _ in children]
+    for rows, reply, status in zip(parts[1:], replies, statuses):
+        if not reply:
+            raise NumericalError(
+                f"the forked part of items {rows.start} to {rows.stop - 1} of {n_items} "
+                f"ended without a result (exit code {os.waitstatus_to_exitcode(status)})"
+            )
+        ok, value = pickle.loads(reply)
+        if not ok:
+            raise value
+        results.append(value)
+    return results
+
+
 def _spectra(model: AlloyModel, volume: FiniteVolume, n_realizations: int, master_seed: int):
-    """Spectrum of realization ``r`` (stream ``r``), for ``r < n_realizations``."""
-    for r in range(n_realizations):
-        real = sample_field(model.potential, model.measure, volume, master_seed, r)
-        yield spectrum(assemble(real, model.lam))
+    """Spectra of realizations ``r < n_realizations`` (stream ``r``), in order."""
+
+    def part(rows):
+        out = []
+        for r in range(n_realizations)[rows]:
+            real = sample_field(model.potential, model.measure, volume, master_seed, r)
+            out.append(spectrum(assemble(real, model.lam)))
+        return out
+
+    return [evals for spectra in _fork_map(part, n_realizations) for evals in spectra]
 
 
 def _default_grid(model: AlloyModel, pooled: np.ndarray, n_points: int) -> np.ndarray:
@@ -250,20 +337,49 @@ def _energy_bracket(ids: IdsTable, e0: float, volume_points: int, lo: float, hi:
 _BLOCK_BYTES = 1 << 20
 
 
+def _converged(lower, upper) -> bool:
+    scale = np.maximum(np.maximum(np.abs(lower), np.abs(upper)), 1.0)
+    return bool(np.all(upper - lower <= 2 * np.spacing(scale)))
+
+
+def _halve(diagonals, index, lower, upper) -> None:
+    """One bisection step of every bracket, in place."""
+    mid = 0.5 * (lower + upper)
+    above = chain_count(diagonals, mid) > index
+    np.copyto(upper, mid, where=above)
+    np.copyto(lower, mid, where=~above)
+
+
 def _bisect_eigenvalues(diagonals, index, lower, upper) -> np.ndarray:
     """Eigenvalue ``index[i, t]`` of chain ``i`` (counted from 0), given that
     it lies in ``[lower[i, t], upper[i, t]]``, by bisection on
     ``chain_count`` to about 2 ulps.  The chains' norms are at least 1, so
-    the ulps are those of ``max(|lower|, |upper|, 1)``."""
-    lower, upper = lower.copy(), upper.copy()
-    while True:
-        scale = np.maximum(np.maximum(np.abs(lower), np.abs(upper)), 1.0)
-        if np.all(upper - lower <= 2 * np.spacing(scale)):
-            return 0.5 * (lower + upper)
-        mid = 0.5 * (lower + upper)
-        above = chain_count(diagonals, mid) > index
-        np.copyto(upper, mid, where=above)
-        np.copyto(lower, mid, where=~above)
+    the ulps are those of ``max(|lower|, |upper|, 1)``.
+
+    Each part of the chains (``_fork_map``) bisects until its own brackets
+    have converged.  A step moves each chain's brackets independently of the
+    others, and one loop over all chains stops at the first step count where
+    every bracket has converged, which is at least each part's own.  So
+    stepping every part to the largest part's count, then going on as that
+    loop would, takes every chain through the same steps, to the same bits."""
+
+    def part(rows):
+        lo, hi, steps = lower[rows].copy(), upper[rows].copy(), 0
+        while not _converged(lo, hi):
+            _halve(diagonals[rows], index[rows], lo, hi)
+            steps += 1
+        return rows, lo, hi, steps
+
+    parts = _fork_map(part, len(diagonals))
+    last = max(steps for *_, steps in parts)
+    for rows, lo, hi, steps in parts:
+        for _ in range(last - steps):
+            _halve(diagonals[rows], index[rows], lo, hi)
+    lo = np.concatenate([lo for _, lo, _, _ in parts])
+    hi = np.concatenate([hi for _, _, hi, _ in parts])
+    while not _converged(lo, hi):
+        _halve(diagonals, index, lo, hi)
+    return 0.5 * (lo + hi)
 
 
 def _window_eigenvalues(diagonals: np.ndarray, ea: float, eb: float) -> list:

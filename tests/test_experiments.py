@@ -3,6 +3,7 @@ import dataclasses
 import importlib.util
 import json
 import math
+import os
 import re
 import tempfile
 from pathlib import Path
@@ -192,6 +193,9 @@ class TestRun:
         assert results["config_hash"] == manifest["config_hash"]
         assert results["passed"] is True
         assert "started" not in results and "finished" not in results
+        # the CPUs the run could use vary by host, so only the manifest holds them
+        assert manifest["cpus"] == len(os.sched_getaffinity(0)) >= 1
+        assert "cpus" not in results
         assert "ok" in capsys.readouterr().out
 
     def test_rerun_is_byte_identical(self, tmp_path):
@@ -387,6 +391,26 @@ class TestRun:
             run(cfg, seed=5, out=str(out))
         assert json.loads((out / "results.json").read_text())["seed"] == 5
         assert not (out / "manifest.json").exists()
+
+    @pytest.mark.parametrize("member", ["minami", "decay", "apriori-lam10"])
+    def test_outputs_do_not_depend_on_the_block_size(self, member, tmp_path, monkeypatch):
+        # blocks of 1 and 7 realizations, and one block holding every
+        # realization of a run, reduce to the same bytes as the default
+        payload = json.loads((REPO / "suites" / "acceptance_checks" / f"{member}.json").read_text())
+        for key in ("n_samples", "scaling_samples"):
+            if key in payload["params"]:
+                payload["params"][key] = 300
+        cfg = write_config(tmp_path / f"{member}.json", payload)
+
+        def outputs(out):
+            assert run(cfg, out=str(out)) == 0
+            return {p.name: p.read_bytes() for p in out.iterdir()
+                    if p.name == "results.json" or p.suffix == ".csv"}
+
+        default = outputs(tmp_path / "default")
+        for size in (1, 7, 1000):
+            monkeypatch.setattr(al.estimators, "_block_size", lambda n, size=size: size)
+            assert outputs(tmp_path / f"block{size}") == default, size
 
     def test_inverse_moment_equality_run(self, tmp_path):
         cfg = inverse_moment_config(tmp_path)

@@ -49,7 +49,10 @@ def test_every_public_name_is_declared_in_its_module():
 # module, nor the ``importlib.metadata`` a version lookup would load, and runs
 # of kinds that never call scipy load none either.  A chain spectrum loads
 # ``scipy.linalg``; the quadrature checks load ``scipy.integrate`` (which loads
-# ``scipy.optimize``); nothing loads ``scipy.stats``.
+# ``scipy.optimize``); nothing loads ``scipy.stats``.  The ``ids`` and
+# ``poisson`` runs fork their realization loops with ``os`` alone, so they
+# load neither ``multiprocessing`` nor the process pool of
+# ``concurrent.futures`` (whose package scipy loads through ``numpy.testing``).
 IMPORT_GUARD = """
 import contextlib, io, json, sys
 from pathlib import Path
@@ -82,6 +85,11 @@ report["bitwise"] = eigs.tobytes() == eigvalsh_tridiagonal(op.diagonal, -np.ones
 check = alloysim.inverse_moment_check(alloysim.CouplingMeasure.uniform(0.0, 1.0), s=0.5, b=2.0)
 report["quadrature"] = [check.holds] + [m in sys.modules for m in
                                          ("scipy.integrate", "scipy.optimize", "scipy.stats")]
+with contextlib.redirect_stdout(io.StringIO()):
+    report["forked"] = [alloysim.experiments.run(str(out / f"{m}.json"), out=str(out / m))
+                        for m in ("ids", "poisson")]
+report["pools"] = [m for m in ("multiprocessing", "concurrent.futures.process")
+                   if m in sys.modules]
 print(json.dumps(report))
 """
 
@@ -101,6 +109,16 @@ def _fresh_interpreter(code, *args, **env_overrides):
 
 
 def test_import_loads_no_cold_scipy_subpackage(tmp_path):
+    model = {"dimension": 1, "lambda": 15.0, "single_site": [[[0], 1.0]],
+             "measure": {"kind": "uniform", "params": {"lo": 0.0, "hi": 1.0}}}
+    small = {
+        "ids": {"radius": 20, "n_realizations": 10, "n_grid": 201},
+        "poisson": {"stats_radius": 20, "ids_radius": 20, "ids_realizations": 3,
+                    "n_realizations": 200, "n_grid": 201, "e0": "median"},
+    }
+    for kind, params in small.items():
+        config = {"schema_version": 1, "kind": kind, "seed": 3, "model": model, "params": params}
+        (tmp_path / f"{kind}.json").write_text(json.dumps(config))
     report = _fresh_interpreter(IMPORT_GUARD, MEMBERS, tmp_path)
     assert report["import"] == []
     assert report["codes"] == [0, 0]
@@ -108,6 +126,8 @@ def test_import_loads_no_cold_scipy_subpackage(tmp_path):
     assert "scipy.linalg" in report["spectrum"] and "scipy.special" not in report["spectrum"]
     assert report["bitwise"] is True
     assert report["quadrature"] == [True, True, True, False]
+    assert report["forked"] == [0, 0]
+    assert report["pools"] == []
 
 
 POOL_SUITE = """

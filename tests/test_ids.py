@@ -1,4 +1,7 @@
+import contextlib
 import math
+import os
+import signal
 
 import numpy as np
 import pytest
@@ -16,6 +19,32 @@ from alloysim import (
     poisson_statistics,
     rescale_eigenvalues,
 )
+
+
+@pytest.fixture(autouse=True)
+def no_child_left():
+    yield
+    # a forked part still running, or ended and not reaped, is left behind
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def force_cpus(monkeypatch, cpus):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+
+
+@contextlib.contextmanager
+def deadline(seconds):
+    def expire(signum, frame):
+        raise TimeoutError(f"still waiting after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def free_ids_exact(energies):
@@ -396,3 +425,93 @@ class TestSpecialFunctionForms:
         assert report.chi_square == chi2
         assert report.chi_square_dof == len(expected) - 1
         assert report.chi_square_pvalue == float(stats.chi2.sf(chi2, len(expected) - 1))
+
+
+class TestForkMap:
+    """``ids._fork_map`` and the loops that use it, against one serial loop."""
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    def test_parts_cover_the_items_in_order(self, monkeypatch, cpus):
+        force_cpus(monkeypatch, cpus)
+        parts = al.ids._fork_map(lambda rows: (rows, os.getpid(), al.ids._cpus()), 10)
+        assert [rows for rows, _, _ in parts] == [
+            slice(10 * i // cpus, 10 * (i + 1) // cpus) for i in range(cpus)
+        ]
+        pids = [pid for _, pid, _ in parts]
+        assert pids[0] == os.getpid() and len(set(pids)) == cpus
+        # a call made inside a forked part runs serially
+        assert [inner for _, _, inner in parts] == [cpus] + [1] * (cpus - 1)
+
+    def test_serial_without_fork_and_never_more_parts_than_items(self, monkeypatch):
+        force_cpus(monkeypatch, 8)
+        assert al.ids._fork_map(lambda rows: rows, 2) == [slice(0, 1), slice(1, 2)]
+        assert al.ids._fork_map(lambda rows: rows, 0) == [slice(0, 0)]
+        monkeypatch.delattr(os, "fork")
+        assert al.ids._cpus() == 1
+        assert al.ids._fork_map(lambda rows: (rows, os.getpid()), 5) == [
+            (slice(0, 5), os.getpid())
+        ]
+
+    def test_tables_and_spectra_do_not_depend_on_the_part_count(self, monkeypatch):
+        model = AlloyModel(
+            al.build_single_site(1, {(0,): 1.0}), al.CouplingMeasure.uniform(0.0, 1.0), 15.0
+        )
+        runs = []
+        for cpus in (1, 2, 3):
+            force_cpus(monkeypatch, cpus)
+            table = ids_estimate(model, build_volume(1, 100), 20, master_seed=5)
+            e0, vol = table.median_energy(), build_volume(1, 60)
+            # in this window the parts of 200 chains need different step counts
+            windowed = al.sample_rescaled_spectra(model, vol, table, e0, 200, 6, window=(-1.0, 1.0))
+            full = al.sample_rescaled_spectra(model, vol, table, e0, 7, 6)
+            runs.append((table, windowed, full))
+        serial = runs[0]
+        for table, windowed, full in runs[1:]:
+            assert np.array_equal(table.energies, serial[0].energies)
+            assert np.array_equal(table.values, serial[0].values)
+            for spectra, reference in ((windowed, serial[1]), (full, serial[2])):
+                assert len(spectra) == len(reference)
+                assert all(np.array_equal(a.xi, b.xi) for a, b in zip(spectra, reference))
+
+    @pytest.mark.parametrize("error", [al.ValidationError, al.NumericalError])
+    def test_a_forked_error_is_raised_as_the_serial_loop_raises_it(
+        self, monkeypatch, flagship_model, error
+    ):
+        draw = al.ids.sample_field
+
+        def refuse(potential, measure, volume, master_seed, stream, *args, **kwargs):
+            if stream in (4, 7):
+                raise error(f"stream {stream} refused")
+            return draw(potential, measure, volume, master_seed, stream, *args, **kwargs)
+
+        monkeypatch.setattr(al.ids, "sample_field", refuse)
+        raised = []
+        for cpus in (1, 2, 3):  # stream 4 is in the second part of 2 and of 3
+            force_cpus(monkeypatch, cpus)
+            with pytest.raises(al.AlloysimError) as info:
+                ids_estimate(flagship_model, build_volume(1, 10), 9, 0)
+            raised.append((type(info.value), str(info.value)))
+        assert raised == [(error, "stream 4 refused")] * 3
+
+    def test_an_error_in_the_callers_part_leaves_no_child(self, monkeypatch):
+        force_cpus(monkeypatch, 3)
+
+        def part(rows):
+            if rows.start == 0:
+                raise al.ValidationError("first part refused")
+            return np.zeros(1 << 17)  # 1 MB: a child blocks until its pipe is read or closed
+
+        with deadline(60), pytest.raises(al.ValidationError, match="first part refused"):
+            al.ids._fork_map(part, 3)
+
+    def test_a_child_that_ends_without_a_result(self, monkeypatch):
+        force_cpus(monkeypatch, 2)
+
+        def part(rows):
+            if rows.start:
+                os._exit(3)
+            return rows
+
+        message = r"items 5 to 9 of 10 ended without a result \(exit code 3\)"
+        with pytest.raises(al.NumericalError, match=message):
+            al.ids._fork_map(part, 10)
