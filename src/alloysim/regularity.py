@@ -191,8 +191,12 @@ class PinEvent:
             raise ValidationError("event needs at least one site")
         if len(self.values) != len(self.sites):
             raise ValidationError("one target value per pinned site")
-        if self.tolerance <= 0:
-            raise ValidationError("pin tolerance must be positive")
+        if not np.all(np.isfinite(self.values)):
+            raise ValidationError(f"pin values must be finite, got {self.values!r}")
+        if not (math.isfinite(self.tolerance) and self.tolerance > 0):
+            raise ValidationError(
+                f"pin tolerance must be finite and positive, got {self.tolerance!r}"
+            )
 
 
 @dataclass
@@ -268,15 +272,16 @@ def conditional_concentration_mc(
     site; batch ``a`` of group ``j`` is 65536 draws from
     ``stream_rng(master_seed, j, a)``, and couplings in no group come from
     ``stream_rng(master_seed, len(groups))``.  Gibbs draws from
-    ``stream_rng(master_seed, 0)``; its lift to couplings consumes the
-    ``(n_target, m)`` standard normals in row blocks, the same doubles in the
-    same order as one draw, with a one-row remainder joined to the block
-    before it.
+    ``stream_rng(master_seed, 0)``: the sweeps' uniforms first, then the
+    ``(n_target, m)`` standard normals of its lift to couplings, taken from
+    the same stream advanced past the sweeps, in row blocks of the same
+    doubles in the same order as one draw, with a one-row remainder joined
+    to the block before it.
 
-    Memory: each Gibbs block is reduced to ``eta`` as it is drawn, so the
-    sampler holds the kept field vectors ``(n_target, n_con)`` plus one
-    block; the ``(n_target, m)`` couplings are built only for
-    ``keep_couplings``.
+    Memory: each Gibbs block is lifted as soon as its field vectors are kept
+    and reduced to ``eta`` as it arrives, so the sampler holds one block of
+    field vectors and of couplings besides ``eta``; the ``(n_target, m)``
+    couplings are built only for ``keep_couplings``.
 
     Raises
     ------
@@ -448,11 +453,13 @@ def _gibbs_sample_event(measure, w_event, ev_lo, ev_hi, n_target, seed, chains, 
     1 runs ``burn_in + ceil(n_target / chains) * thin`` sweeps, and each sweep
     consumes one ``(n_con, chains)`` block of uniforms, row ``i`` feeding the
     update of coordinate ``i`` in every chain, coordinates in order.  Stage 2
-    then consumes the ``(n_target, m)`` standard normals in blocks of
-    ``_LIFT_ROWS`` rows, the same doubles in the same order as one draw, and
-    lifts each block as it is drawn; a one-row remainder joins the block
-    before it.  The sampler holds the kept field vectors ``(n_target,
-    n_con)`` and one block, never the whole coupling array.
+    consumes the ``(n_target, m)`` standard normals that follow, in blocks of
+    ``_LIFT_ROWS`` rows, the same doubles in the same order as one draw; a
+    one-row remainder joins the block before it.  It draws them from a second
+    generator on the same stream, advanced past stage 1 (each uniform takes
+    one PCG64 step), so each block is lifted as soon as its field vectors are
+    kept.  The sampler holds one block of field vectors and one block of
+    couplings, never ``n_target`` rows of either.
     """
     # imported here, once per call and never in the sweep: scipy.special would
     # otherwise load on every run, and most experiment kinds never call it
@@ -470,12 +477,22 @@ def _gibbs_sample_event(measure, w_event, ev_lo, ev_hi, n_target, seed, chains, 
     precision = np.linalg.inv(gram)
     cond_sd = 1.0 / np.sqrt(np.diag(precision))
     y_mean = center * (w_event @ np.ones(m))
+    kept_per_chain = -(-n_target // chains)
+    n_sweeps = burn_in + kept_per_chain * thin
     rng = stream_rng(seed, 0)
+    lift_rng = stream_rng(seed, 0)
+    lift_rng.bit_generator.advance(n_sweeps * n_con * chains)
+    lift = np.linalg.solve(gram, sigma * sigma * w_event)
+    edges = list(range(0, n_target, _LIFT_ROWS)) + [n_target]
+    if len(edges) > 2 and edges[-1] - edges[-2] == 1:
+        # numpy sends a one-row product to gemv, which can round unlike gemm
+        del edges[-2]
+    sizes = [b - a for a, b in zip(edges, edges[1:])]
+    ys = np.empty((max(sizes), n_con))  # field vectors of the block being filled
+    block, filled = 0, 0
 
     y = np.tile(0.5 * (ev_lo + ev_hi), (chains, 1))
     dev = y - y_mean
-    kept_per_chain = -(-n_target // chains)
-    kept_y = np.empty((kept_per_chain, chains, n_con))
     # Every step of an update writes into these buffers; the operations and
     # their order are those of
     #   mu = y_mean_i - (dev @ P_i - P_ii * dev_i) / P_ii
@@ -497,7 +514,7 @@ def _gibbs_sample_event(measure, w_event, ev_lo, ev_hi, n_target, seed, chains, 
          np.asarray(ev_hi[i]), y[:, i], dev[:, i], u[i])
         for i in range(n_con)
     ]
-    for sweep in range(1, burn_in + kept_per_chain * thin + 1):
+    for sweep in range(1, n_sweeps + 1):
         rng.random(out=u)
         for prec_i, p_ii, ym_i, sd_i, bnd_i, lo_i, hi_i, y_i, dev_i, u_i in coords:
             np.dot(dev, prec_i, out=mu)
@@ -517,18 +534,18 @@ def _gibbs_sample_event(measure, w_event, ev_lo, ev_hi, n_target, seed, chains, 
             np.add(mu, tmp, out=tmp)
             np.minimum(np.maximum(tmp, lo_i, out=tmp), hi_i, out=y_i)  # CDF round-off guard
             np.subtract(y_i, ym_i, out=dev_i)
-        if sweep > burn_in and (sweep - burn_in) % thin == 0:
-            kept_y[(sweep - burn_in) // thin - 1] = y
-    ys = kept_y.reshape(-1, n_con)[:n_target]
-
-    lift = np.linalg.solve(gram, sigma * sigma * w_event)
-    edges = list(range(0, n_target, _LIFT_ROWS)) + [n_target]
-    if len(edges) > 2 and edges[-1] - edges[-2] == 1:
-        # numpy sends a one-row product to gemv, which can round unlike gemm
-        del edges[-2]
-    for a, b in zip(edges, edges[1:]):
-        draws = center + sigma * rng.standard_normal((b - a, m))
-        yield draws + (ys[a:b] - draws @ w_event.T) @ lift
+        if sweep <= burn_in or (sweep - burn_in) % thin:
+            continue
+        start = 0
+        while start < chains and block < len(sizes):
+            take = min(chains - start, sizes[block] - filled)
+            ys[filled:filled + take] = y[start:start + take]
+            filled += take
+            start += take
+            if filled == sizes[block]:
+                draws = center + sigma * lift_rng.standard_normal((filled, m))
+                yield draws + (ys[:filled] - draws @ w_event.T) @ lift
+                block, filled = block + 1, 0
 
 
 # ---------------------------------------------------------------------------
@@ -677,10 +694,11 @@ def condition_gaussian_linear(
 ) -> GaussianConditional:
     """Law of ``weights . X`` given ``constraints @ X = observed``.
 
-    ``X`` is Gaussian with the given mean and covariance.  Uses a Cholesky
-    solve of the constraint Gram matrix; an ill-conditioned Gram matrix
-    (condition number above 1e12, or a non-positive eigenvalue) raises with
-    the offending eigenvalue in the message.  An empty constraint block
+    ``X`` is Gaussian with the given mean and covariance.  Solves the
+    constraint Gram system with ``numpy.linalg.solve`` (LU) once its
+    eigenvalues pass the guard: an ill-conditioned Gram matrix (condition
+    number above 1e12, or a non-positive eigenvalue) raises with the
+    offending eigenvalue in the message.  An empty constraint block
     returns the unconditioned law.
     """
     mu = np.asarray(mean, dtype=float)
@@ -701,12 +719,8 @@ def condition_gaussian_linear(
         raise NumericalError(
             f"constraint Gram matrix is numerically singular (smallest eigenvalue {eigs[0]:.3e})"
         )
-    # imported here, not at module top: scipy.linalg would otherwise load on
-    # every run, and only the Gaussian conditioning solves use it
-    from scipy.linalg import cho_factor, cho_solve
-
     cross = b @ sig @ a
-    solve = cho_solve(cho_factor(gram), cross)
+    solve = np.linalg.solve(gram, cross)
     variance = base_var - float(cross @ solve)
     mean_out = float(a @ mu + solve @ (v - b @ mu))
     return GaussianConditional(mean_out, variance, provenance="linear-constraint")

@@ -53,17 +53,21 @@ def test_every_public_name_is_declared_in_its_module():
 # ``poisson`` runs fork their realization loops with ``os`` alone, so they
 # load neither ``multiprocessing`` nor the process pool of
 # ``concurrent.futures`` (whose package scipy loads through ``numpy.testing``).
-IMPORT_GUARD = """
+# Of the bulk-sampling kinds, ``concentration`` and ``certificate`` load no
+# scipy module, and ``gaussian-conditioning`` loads ``scipy.special`` for its
+# Gibbs sampler but not ``scipy.linalg``: its Gram solves are numpy's.
+LOADED = """
 import contextlib, io, json, sys
 from pathlib import Path
-
-import numpy as np
 
 
 def loaded():
     return sorted(m for m in sys.modules
                   if m == "scipy" or m.startswith(("scipy.", "importlib.metadata")))
+"""
 
+IMPORT_GUARD = LOADED + """
+import numpy as np
 
 import alloysim, alloysim.experiments, alloysim.cli
 
@@ -128,6 +132,43 @@ def test_import_loads_no_cold_scipy_subpackage(tmp_path):
     assert report["quadrature"] == [True, True, True, False]
     assert report["forked"] == [0, 0]
     assert report["pools"] == []
+
+
+BULK_GUARD = LOADED + """
+import alloysim.experiments
+
+report = {}
+for path in sys.argv[1:]:
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = alloysim.experiments.run(path, out=str(Path(path).with_suffix("")))
+    report[Path(path).stem] = [code, loaded()]
+print(json.dumps(report))
+"""
+
+
+def test_bulk_sampling_kinds_load_no_scipy_linalg(tmp_path):
+    two_tap = {"dimension": 1, "lambda": 1.0, "single_site": [[[0], 1.0], [[1], 1.0]],
+               "measure": {"kind": "uniform", "params": {"lo": 0.0, "hi": 1.0}}}
+    small = {
+        "concentration": {"model": two_tap, "params": {
+            "site": [0], "eps_values": [0.5, 1.0], "n_samples": 2000}},
+        "certificate": {"model": two_tap, "params": {
+            "delta": 0.05, "delta_prime": 0.05, "n_target": 50}},
+        "gaussian-conditioning": {"params": {
+            "coeffs": [1.0], "l_max": 2, "m_max": 2,
+            "tau_mc": {"l": 2, "m": 2, "tau_values": [0.08], "n_target": 300,
+                       "chains": 16, "burn_in": 5, "thin": 1}}},
+    }
+    paths = []
+    for kind, body in small.items():
+        paths.append(tmp_path / f"{kind}.json")
+        paths[-1].write_text(json.dumps({"schema_version": 1, "kind": kind, "seed": 3, **body}))
+    report = _fresh_interpreter(BULK_GUARD, *paths)
+    assert report["concentration"] == [0, []]
+    assert report["certificate"] == [0, []]
+    code, modules = report["gaussian-conditioning"]
+    assert code == 0 and "scipy.special" in modules
+    assert [m for m in modules if m.startswith("scipy.linalg")] == []
 
 
 POOL_SUITE = """

@@ -51,3 +51,14 @@ def test_no_overflow_warnings():
         for seed in (918273645, 2**64 + 5):
             for attempt in (0, 2):
                 stream_rng(seed, 3000, attempt).random()
+
+
+@pytest.mark.parametrize("stream", [1023, 2**32], ids=["block-hashed", "seed-sequence"])
+@pytest.mark.parametrize("k", [0, 1, 7, 2560, 25_000])
+def test_advance_equals_drawing_doubles(stream, k):
+    # the Gibbs sampler jumps its lift generator past the sweeps' uniforms,
+    # which holds because every double takes one PCG64 step
+    drawn, jumped = stream_rng(5, stream), stream_rng(5, stream)
+    drawn.random(k)
+    jumped.bit_generator.advance(k)
+    np.testing.assert_array_equal(jumped.standard_normal(300), drawn.standard_normal(300))
