@@ -7,7 +7,7 @@ the result record, optional CSV series, a copy of the config, and a
 functions of (config, seed) up to the manifest timestamps, so re-running a
 config reproduces ``results.json`` byte for byte.
 
-Suites run a list of configs (concurrently up to ``ALLOYSIM_WORKERS``) and
+Suites run a list of configs, one contiguous range of them per CPU, and
 aggregate per-member outcomes into a pass/fail table.
 """
 
@@ -18,7 +18,6 @@ import csv
 import hashlib
 import json
 import math
-import os
 import shutil
 import sys
 import traceback
@@ -44,6 +43,7 @@ from .estimators import (
 from .ids import (
     RescaledSpectrum,
     _cpus,
+    _fork_map,
     _unit_windows,
     ids_estimate,
     poisson_statistics,
@@ -979,8 +979,7 @@ def run(
     return 0
 
 
-def _suite_member(args) -> dict:
-    config_path, out_dir = args
+def _suite_member(config_path, out_dir) -> dict:
     member = {
         "name": Path(config_path).stem,
         "config": str(config_path),
@@ -1009,17 +1008,18 @@ def suite(manifest_path) -> int:
     """Run every config in a suite manifest and aggregate outcomes.
 
     The manifest is ``{"schema_version": 1, "name": ..., "configs": [...],
-    "out": ...}`` with config paths relative to the manifest file.  Members
-    run concurrently up to ``ALLOYSIM_WORKERS`` (default 1), each owning its
-    own output subdirectory.  Any member that fails to complete or reports
-    ``passed: false`` makes the suite exit nonzero; the other members'
-    artifacts are still written.  A member whose run raises an unexpected
-    exception gets exit code 4 and its traceback in the report.  A malformed
-    manifest (``name`` and ``out`` strings, ``configs`` a list of strings),
-    two members with the same output subdirectory (the config file's stem),
-    or an ``ALLOYSIM_WORKERS`` that is not an integer >= 1 exits 2 before any
-    member runs or anything is written, and so does a report directory that
-    cannot be created.
+    "out": ...}`` with config paths relative to the manifest file.  Each
+    member owns its own output subdirectory.  ``ids._fork_map`` runs one
+    contiguous range of members per CPU, the first in this process and each
+    other in a forked child, whose members run their ``ids`` loops serially;
+    the outputs do not depend on the CPU count.  Any member that fails to
+    complete or reports ``passed: false`` makes the suite exit nonzero; the
+    other members' artifacts are still written.  A member whose run raises an
+    unexpected exception gets exit code 4 and its traceback in the report.  A
+    malformed manifest (``name`` and ``out`` strings, ``configs`` a list of
+    strings) or two members with the same output subdirectory (the config
+    file's stem) exits 2 before any member runs or anything is written, and
+    so does a report directory that cannot be created.
     """
     manifest_path = Path(manifest_path)
     try:
@@ -1027,11 +1027,6 @@ def suite(manifest_path) -> int:
             data = _read_params(_SUITE, json.load(fh), "suite", None)
     except (OSError, json.JSONDecodeError, ValidationError) as exc:
         print(f"suite manifest error: {exc}", file=sys.stderr)
-        return 2
-    raw_workers = os.environ.get("ALLOYSIM_WORKERS") or "1"
-    workers = int(raw_workers) if raw_workers.isdecimal() else 0
-    if workers < 1:
-        print(f"ALLOYSIM_WORKERS must be an integer >= 1, got {raw_workers!r}", file=sys.stderr)
         return 2
     base = manifest_path.parent
     out_root = Path(data.get("out", base / f"{manifest_path.stem}_results"))
@@ -1048,20 +1043,8 @@ def suite(manifest_path) -> int:
         msg = f"cannot create suite output directory {out_root}: {exc.strerror}"
         print(msg, file=sys.stderr)
         return 2
-    if workers > 1 and len(jobs) > 1:
-        # the pool is imported only where one starts; scipy is loaded here, once,
-        # so that the members forked from this process share one import instead
-        # of each loading it on first use
-        from concurrent.futures import ProcessPoolExecutor
-
-        import scipy.linalg  # noqa: F401
-        import scipy.special  # noqa: F401
-
-        # a forking pool starts every worker at once, so it gets one per member at most
-        with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
-            members = list(pool.map(_suite_member, jobs))
-    else:
-        members = [_suite_member(j) for j in jobs]
+    parts = _fork_map(lambda rows: [_suite_member(*job) for job in jobs[rows]], len(jobs))
+    members = [m for part in parts for m in part]
     all_ok = all(m["ok"] and m["passed"] is not False for m in members)
     report = {
         "name": data.get("name", manifest_path.stem),

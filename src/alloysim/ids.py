@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 import os
 import pickle
+import sys
 from dataclasses import asdict, dataclass, field
 from typing import Optional, Sequence
 
@@ -89,10 +90,15 @@ def _cpus() -> int:
     return len(os.sched_getaffinity(0))
 
 
+def _flush_std() -> None:
+    for stream in filter(None, (sys.stdout, sys.stderr)):
+        stream.flush()
+
+
 def _forked_part(fn, rows, write_end, inherited) -> None:
     """Child side of ``_fork_map``: send ``(True, fn(rows))``, or ``(False,
-    exception)``, pickled through ``write_end``, and leave without running
-    the parent's cleanup or flushing its buffers."""
+    exception)``, pickled through ``write_end``, flush what ``fn`` printed,
+    and leave without running the parent's cleanup."""
     global _FORKED
     try:
         _FORKED = True
@@ -104,6 +110,7 @@ def _forked_part(fn, rows, write_end, inherited) -> None:
             reply = (False, exc)
         with open(write_end, "wb") as fh:
             fh.write(pickle.dumps(reply, pickle.HIGHEST_PROTOCOL))
+        _flush_std()
     finally:
         os._exit(0)
 
@@ -119,12 +126,14 @@ def _fork_map(fn, n_items: int) -> list:
     raise it: the earliest failing part's, once every child is reaped.  A
     child that ends without a result raises a ``NumericalError``.  A child
     holds only the calling thread, so a lock that another thread of the
-    caller held at the fork stays held in it.
+    caller held at the fork stays held in it.  Standard output and error are
+    flushed before the forks, so that no child repeats what the caller wrote.
     """
     k = max(1, min(_cpus(), n_items))
     parts = [slice(n_items * i // k, n_items * (i + 1) // k) for i in range(k)]
     children = []  # (pid, read end) of parts[1:]
     replies = []
+    _flush_std()
     try:
         for rows in parts[1:]:
             read_end, write_end = os.pipe()
@@ -194,6 +203,8 @@ def ids_estimate(
     """
     if n_realizations < 1:
         raise ValidationError("need at least one realization")
+    if n_grid < 2:
+        raise ValidationError("need at least two grid energies")
     pooled = np.sort(np.concatenate(list(_spectra(model, volume, n_realizations, master_seed))))
     energy_grid = _default_grid(model, pooled, n_grid)
     values = np.searchsorted(pooled, energy_grid, side="right") / (
@@ -305,9 +316,11 @@ def rescale_eigenvalues(
 
 
 def _unit_windows(window) -> tuple[float, float, int]:
-    """``(lo, hi, n)`` for a window ``[lo, hi]`` that holds ``n >= 1`` unit
-    subwindows; raises when it holds none."""
+    """``(lo, hi, n)`` for a finite window ``[lo, hi]`` that holds ``n >= 1``
+    unit subwindows; raises when it holds none."""
     lo, hi = float(window[0]), float(window[1])
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValidationError("window ends must be finite")
     n_windows = int(math.floor(hi - lo + 1e-9))
     if n_windows < 1:
         raise ValidationError("window must span at least one unit length")
@@ -527,8 +540,8 @@ def poisson_statistics(
             f"need at least {_MIN_REALIZATIONS} realizations, got {len(spectra)}"
         )
     lo, hi, n_windows = _unit_windows(window)
-    if bin_width <= 0:
-        raise ValidationError("bin width must be positive")
+    if not 0 < bin_width < math.inf:
+        raise ValidationError("bin width must be positive and finite")
 
     counts = np.empty((len(spectra), n_windows), dtype=int)
     gaps = []

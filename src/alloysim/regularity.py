@@ -279,9 +279,9 @@ def conditional_concentration_mc(
     to the block before it.
 
     Memory: each Gibbs block is lifted as soon as its field vectors are kept
-    and reduced to ``eta`` as it arrives, so the sampler holds one block of
+    and written into ``eta`` as it arrives, so the sampler holds one block of
     field vectors and of couplings besides ``eta``; the ``(n_target, m)``
-    couplings are built only for ``keep_couplings``.
+    couplings are filled the same way, only for ``keep_couplings``.
 
     Raises
     ------
@@ -348,12 +348,14 @@ def conditional_concentration_mc(
     else:
         raise ValidationError(f"unknown sampler {sampler!r}")
 
-    etas, kept = [], []
+    eta = np.empty(n_target)
+    couplings = np.empty((n_target, len(w_target))) if keep_couplings else None
+    stop = 0
     for block in blocks:
-        etas.append(block @ w_target)
+        start, stop = stop, stop + len(block)
+        eta[start:stop] = block @ w_target
         if keep_couplings:
-            kept.append(block)
-    eta = np.concatenate(etas)
+            couplings[start:stop] = block
     inside = (eta >= lo_t) & (eta <= hi_t)
     freq = Estimate.proportion(
         np.mean(inside), len(eta), master_seed,
@@ -374,7 +376,7 @@ def conditional_concentration_mc(
         eta_mean=float(np.mean(eta)),
         eta_var=float(np.var(eta)),
         coupling_points=coupling_points,
-        couplings=np.concatenate(kept) if keep_couplings else None,
+        couplings=couplings,
     )
 
 

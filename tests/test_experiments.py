@@ -1,3 +1,4 @@
+import contextlib
 import copy
 import dataclasses
 import importlib.util
@@ -620,62 +621,39 @@ class TestSuite:
         assert "two members write to" in captured.err and "inverse-moment" not in captured.out
         assert sorted(tmp_path.rglob("*")) == before
 
-    def test_two_workers_match_a_serial_run_byte_for_byte(self, tmp_path, monkeypatch, capsys):
+    def test_two_parts_match_a_serial_run_byte_for_byte(self, tmp_path, monkeypatch, capsys):
         members = [str(REPO / "suites/acceptance_checks" / f"{m}.json")
                    for m in ("concentration", "decay", "wegner")]
         outputs = {}
-        for workers in ("1", "2"):
-            monkeypatch.setenv("ALLOYSIM_WORKERS", workers)
-            out = tmp_path / f"workers{workers}"
+        for cpus in (1, 2):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+            out = tmp_path / f"cpus{cpus}"
             manifest = write_config(
-                tmp_path / f"suite{workers}.json",
+                tmp_path / f"suite{cpus}.json",
                 {"schema_version": 1, "configs": members, "out": out.name},
             )
             assert suite(manifest) == 0
-            outputs[workers] = {
+            outputs[cpus] = {
                 p.relative_to(out): p.read_bytes()
                 for p in out.rglob("*") if p.name == "results.json" or p.suffix == ".csv"
             }
-        assert len(outputs["1"]) == 6
-        assert outputs["2"] == outputs["1"]
+        assert len(outputs[1]) == 6
+        assert outputs[2] == outputs[1]
         capsys.readouterr()
 
-    def test_pool_has_no_more_workers_than_members(self, tmp_path, monkeypatch, capsys):
-        # a stand-in pool, so that no process is started
-        import concurrent.futures
-
-        sizes = []
-
-        class SerialPool:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, jobs):
-                return map(fn, jobs)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
-        monkeypatch.setenv("ALLOYSIM_WORKERS", "8")
-        configs = [inverse_moment_config(tmp_path, f"im{i}.json") for i in range(2)]
-        assert suite(self.make_suite(tmp_path, configs)) == 0
-        assert sizes == [2]
-        capsys.readouterr()
-
-    @pytest.mark.parametrize("workers", ["two", "0", "-1"])
-    def test_bad_worker_count_exits_2_before_any_member(
-        self, tmp_path, capsys, monkeypatch, workers
-    ):
-        monkeypatch.setenv("ALLOYSIM_WORKERS", workers)
-        manifest = self.make_suite(tmp_path, [inverse_moment_config(tmp_path, "im.json")])
-        before = sorted(tmp_path.rglob("*"))
-        assert suite(manifest) == 2
-        assert "ALLOYSIM_WORKERS must be an integer >= 1" in capsys.readouterr().err
-        assert sorted(tmp_path.rglob("*")) == before
+    def test_each_member_prints_its_ok_line_once(self, tmp_path, monkeypatch, capfd):
+        # stdout block-buffered, as when it is piped: a forked part must write
+        # out what its members printed, and what the caller had buffered before
+        # the fork must not be written twice
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        configs = [inverse_moment_config(tmp_path, f"im{i}.json") for i in range(3)]
+        with open(1, "w", closefd=False) as buffered, contextlib.redirect_stdout(buffered):
+            print("before the suite")
+            assert suite(self.make_suite(tmp_path, configs)) == 0
+        lines = capfd.readouterr().out.splitlines()
+        assert lines.count("before the suite") == 1
+        for i in range(3):
+            assert lines.count(f"inverse-moment: ok ({tmp_path / 'results' / f'im{i}'})") == 1
 
 
 class TestEmitPlotData:

@@ -9,7 +9,6 @@ from pathlib import Path
 import pytest
 
 import alloysim
-from alloysim.experiments import suite
 
 SUBMODULES = sorted(m.name for m in pkgutil.iter_modules(alloysim.__path__))
 # the experiment runner and the command line are imported on their own
@@ -50,9 +49,10 @@ def test_every_public_name_is_declared_in_its_module():
 # of kinds that never call scipy load none either.  A chain spectrum loads
 # ``scipy.linalg``; the quadrature checks load ``scipy.integrate`` (which loads
 # ``scipy.optimize``); nothing loads ``scipy.stats``.  The ``ids`` and
-# ``poisson`` runs fork their realization loops with ``os`` alone, so they
-# load neither ``multiprocessing`` nor the process pool of
-# ``concurrent.futures`` (whose package scipy loads through ``numpy.testing``).
+# ``poisson`` runs fork their realization loops, and suites their members,
+# with ``os`` alone, so they load neither ``multiprocessing`` nor the process
+# pool of ``concurrent.futures`` (whose package scipy loads through
+# ``numpy.testing``).
 # Of the bulk-sampling kinds, ``concentration`` and ``certificate`` load no
 # scipy module, and ``gaussian-conditioning`` loads ``scipy.special`` for its
 # Gibbs sampler but not ``scipy.linalg``: its Gram solves are numpy's.
@@ -101,15 +101,19 @@ REPO = Path(__file__).resolve().parents[1]
 MEMBERS = REPO / "suites" / "acceptance_checks"
 
 
-def _fresh_interpreter(code, *args, **env_overrides):
-    # a fresh interpreter: the test modules themselves import scipy
-    env = dict(os.environ, **env_overrides)
+def _fresh_interpreter(code, *args):
+    """The JSON report ``code`` prints last, and the lines printed before it."""
+    # a fresh interpreter: the test modules themselves import scipy; with
+    # stdout block-buffered, as a pipe gets it by default
+    env = dict(os.environ)
+    env.pop("PYTHONUNBUFFERED", None)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(REPO / "src"), env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-c", code, *map(str, args)],
         env=env, capture_output=True, text=True, check=True,
     )
-    return json.loads(proc.stdout.splitlines()[-1])
+    *printed, report = proc.stdout.splitlines()
+    return json.loads(report), printed
 
 
 def test_import_loads_no_cold_scipy_subpackage(tmp_path):
@@ -123,7 +127,7 @@ def test_import_loads_no_cold_scipy_subpackage(tmp_path):
     for kind, params in small.items():
         config = {"schema_version": 1, "kind": kind, "seed": 3, "model": model, "params": params}
         (tmp_path / f"{kind}.json").write_text(json.dumps(config))
-    report = _fresh_interpreter(IMPORT_GUARD, MEMBERS, tmp_path)
+    report, _ = _fresh_interpreter(IMPORT_GUARD, MEMBERS, tmp_path)
     assert report["import"] == []
     assert report["codes"] == [0, 0]
     assert report["runs"] == []
@@ -163,7 +167,7 @@ def test_bulk_sampling_kinds_load_no_scipy_linalg(tmp_path):
     for kind, body in small.items():
         paths.append(tmp_path / f"{kind}.json")
         paths[-1].write_text(json.dumps({"schema_version": 1, "kind": kind, "seed": 3, **body}))
-    report = _fresh_interpreter(BULK_GUARD, *paths)
+    report, _ = _fresh_interpreter(BULK_GUARD, *paths)
     assert report["concentration"] == [0, []]
     assert report["certificate"] == [0, []]
     code, modules = report["gaussian-conditioning"]
@@ -171,38 +175,27 @@ def test_bulk_sampling_kinds_load_no_scipy_linalg(tmp_path):
     assert [m for m in modules if m.startswith("scipy.linalg")] == []
 
 
-POOL_SUITE = """
-import contextlib, io, json, sys
-from alloysim.experiments import suite
+FORKED_SUITE = """
+import json, os, sys
+from alloysim.cli import main
 
-with contextlib.redirect_stdout(io.StringIO()):
-    code = suite(sys.argv[1])
-print(json.dumps([code, "scipy.linalg" in sys.modules, "scipy.special" in sys.modules]))
+os.sched_getaffinity = lambda pid: {0, 1}  # two parts on any host
+code = main(["suite", sys.argv[1]])
+print(json.dumps([code] + [m for m in ("multiprocessing", "concurrent.futures.process")
+                           if m in sys.modules]))
 """
 
 
-def test_two_worker_suite_from_a_cold_start_matches_a_serial_run(tmp_path, monkeypatch, capsys):
-    # members that call scipy and members that never do, run by a pool whose
-    # parent loads scipy once before it forks
-    members = [str(MEMBERS / f"{m}.json") for m in ("constants", "decay", "wegner")]
-
-    def manifest(name):
-        path = tmp_path / f"{name}.json"
-        path.write_text(json.dumps({"schema_version": 1, "configs": members, "out": name}))
-        return path
-
-    def outputs(name):
-        out = tmp_path / name
-        return {p.relative_to(out): p.read_bytes()
-                for p in out.rglob("*") if p.name == "results.json" or p.suffix == ".csv"}
-
-    monkeypatch.setenv("ALLOYSIM_WORKERS", "1")
-    assert suite(manifest("serial")) == 0
-    pool = _fresh_interpreter(POOL_SUITE, manifest("pool"), ALLOYSIM_WORKERS="2")
-    assert pool == [0, True, True]
-    assert len(outputs("serial")) == 5
-    assert outputs("pool") == outputs("serial")
-    capsys.readouterr()
+def test_suite_forks_its_members_without_a_process_pool(tmp_path):
+    # the forked part's lines are kept only if it flushes them
+    members = ["constants", "decay", "wegner"]
+    manifest = tmp_path / "suite.json"
+    manifest.write_text(json.dumps({"schema_version": 1, "out": "out",
+                                    "configs": [str(MEMBERS / f"{m}.json") for m in members]}))
+    report, printed = _fresh_interpreter(FORKED_SUITE, manifest)
+    assert report == [0]
+    for m in members:
+        assert len([line for line in printed if line.endswith(f" ({tmp_path / 'out' / m})")]) == 1
 
 
 def test_version_is_stated_once():

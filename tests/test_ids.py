@@ -327,6 +327,28 @@ class TestWindowedSpectra:
             assert len(b.xi) == len(box)
             np.testing.assert_array_equal(a.xi, b.xi)
 
+    BAD_INPUTS = {
+        "bin-width-nan": ("poisson", {"bin_width": math.nan}),
+        "bin-width-inf": ("poisson", {"bin_width": math.inf}),
+        "window-nan": ("poisson", {"window": (math.nan, 5.0)}),
+        "window-inf": ("poisson", {"window": (-5.0, math.inf)}),
+        "sampled-window-nan": ("sample", {"window": (-5.0, math.nan)}),
+        "sampled-window-inf": ("sample", {"window": (-math.inf, 5.0)}),
+        "one-grid-energy": ("ids", {"n_grid": 1}),
+        "no-grid-energy": ("ids", {"n_grid": 0}),
+    }
+
+    @pytest.mark.parametrize("call, kwargs", BAD_INPUTS.values(), ids=list(BAD_INPUTS))
+    def test_malformed_library_input_is_a_validation_error(self, chain, both, call, kwargs):
+        model, table, e0, vol = chain
+        calls = {
+            "poisson": lambda: poisson_statistics(both[0], **kwargs),
+            "sample": lambda: al.sample_rescaled_spectra(model, vol, table, e0, 200, 6, **kwargs),
+            "ids": lambda: ids_estimate(model, vol, 2, 5, **kwargs),
+        }
+        with pytest.raises(al.ValidationError):
+            calls[call]()
+
     @pytest.mark.parametrize("window", [(5.0, -5.0), (0.0, 0.5)])
     def test_malformed_window_rejected_before_drawing(self, chain, window, monkeypatch):
         model, table, e0, vol = chain

@@ -278,6 +278,21 @@ class TestSlabColumn:
                 ix = op.volume.index_of(x)
                 assert entry == pytest.approx(expected[ix], rel=1e-12, abs=0)
 
+    @pytest.mark.parametrize("radius", [5, 10])
+    def test_ward_identity(self, radius):
+        # sum_y |G(z; x, y)|^2 = Im G(z; x, x) / Im z, on the fractional-moment
+        # bench model: two taps, cosine couplings, lam 10, z inside the spectrum
+        u = al.build_single_site(2, {(0, 0): 1.0, (1, 0): 1.0})
+        vol = build_volume(2, radius=radius)
+        z = 10.0 + 0.01j
+        for stream in range(4):
+            op = assemble(al.sample_field(u, al.CouplingMeasure.cosine(0.0, 1.0), vol, 201, stream),
+                          10.0)
+            for y in box_targets(2, radius):
+                col = green_column(op, z, y)
+                ward = col[vol.index_of(y)].imag / z.imag
+                assert abs(np.sum(col.real ** 2 + col.imag ** 2) - ward) <= 1e-12 * ward
+
     def test_box_column_never_builds_the_matrix(self, rng, monkeypatch):
         def dense(op):
             raise AssertionError(f"dense {op.size} x {op.size} matrix built on a box")

@@ -500,9 +500,9 @@ class TestGibbsLiftBlocks:
                 tracemalloc.stop()
 
         peak(256)  # a first call's one-off allocations stay out of the comparison
-        # eta and the reductions over it grow by about 22 bytes per target
+        # eta and the reductions over it grow by about 11 bytes per target
         # (tracemalloc, numpy 2.4); the kept field vectors alone would add 80
-        assert peak(240_000) - peak(60_000) < 24 * 180_000
+        assert peak(240_000) - peak(60_000) < 16 * 180_000
 
 
 class TestPinningCertificate:
