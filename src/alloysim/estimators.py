@@ -13,7 +13,10 @@ field.  Two routers pick the path to the finite-volume operator.
 batched tridiagonal kernel ``chain_green`` for a complex energy on a chain,
 one ``green_column`` call per site and realization otherwise (slab by slab on
 a d >= 2 box at a complex energy, densely on other volumes and at real
-energies).  ``wegner_count`` and ``two_level_probability`` read eigenvalue
+energies).  A dense solve at a real energy ``E`` first checks that no
+eigenvalue lies within a tiny ``delta`` of ``E``: on a chain by two Sturm
+counts, with no spectrum computed, elsewhere from the full spectrum.
+``wegner_count`` and ``two_level_probability`` read eigenvalue
 counts through ``_count_rows``.  ``fvc_probability`` needs the whole
 resolvent and inverts each operator densely.
 """

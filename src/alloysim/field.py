@@ -44,10 +44,9 @@ class FieldRealization:
     def reconstruction_error(self) -> float:
         """Max relative defect between the stored field and its definition."""
         _, gather = self.volume.coupling_layout(self.potential)
-        vals = np.asarray(self.potential.values)
         recon = np.zeros(len(self.volume))
-        for j in range(len(vals)):
-            recon += vals[j] * self.couplings[gather[j]]
+        for value, cols in zip(self.potential.values, gather):
+            recon += value * self.couplings[cols]
         scale = np.maximum(1.0, np.abs(self.field))
         return float(np.max(np.abs(recon - self.field) / scale))
 
@@ -68,10 +67,9 @@ def sample_field(
     coupling_points, gather = volume.coupling_layout(u)
     rng = stream_rng(master_seed, stream_index, attempt)
     couplings = measure.sample(rng, len(coupling_points))
-    vals = np.asarray(u.values)
     field = np.zeros(len(volume))
-    for j in range(len(vals)):
-        field += vals[j] * couplings[gather[j]]
+    for value, cols in zip(u.values, gather):
+        field += value * couplings[cols]
     return FieldRealization(
         volume=volume,
         potential=u,

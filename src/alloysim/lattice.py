@@ -10,6 +10,7 @@ contribute 0.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Sequence
@@ -223,13 +224,48 @@ def spectrum(op: FiniteVolumeOperator) -> np.ndarray:
 _REAL_GUARD = 1e-12
 
 
+def _sturm_count(diagonal: list[float], x: float) -> int:
+    """``chain_count`` of one chain at one energy, in Python floats.
+
+    The same pivots, zero-pivot rule and last-site rule, so the same count;
+    on the short chains of a real-energy solve a scalar loop beats numpy's
+    per-call cost many times over.  ``1 / 0.0`` raises in Python, so a zero
+    pivot's reciprocal is written out as ``copysign(inf, q)``.
+    """
+    count, inv = 0, 0.0
+    for a in diagonal[:-1]:
+        q = (a - x) - inv
+        if math.copysign(1.0, q) < 0:
+            count += 1
+        inv = 1.0 / q if q else math.copysign(math.inf, q)
+    return count + ((diagonal[-1] - x) - inv < 0)
+
+
 def _check_not_in_spectrum(op: FiniteVolumeOperator, z: complex) -> None:
+    """Raise ``NumericalError`` when a real ``z`` lies within
+    ``delta = _REAL_GUARD * max(1, norm_bound)`` of an eigenvalue.
+
+    On a chain the eigenvalues in ``[E - delta, E + delta]`` are counted as
+    ``nu(E + delta + 0) - nu(E - delta)``, where ``nu(x)`` is the Sturm count
+    of the eigenvalues strictly below ``x`` (Barth, Martin and Wilkinson,
+    Numer. Math. 9, 386 (1967)) and ``E + delta + 0`` the next float above
+    ``E + delta``, so no spectrum is computed.  Other volumes count the
+    eigenvalues of ``spectrum`` within ``delta`` of ``E``.
+    """
     if abs(z.imag) > 0:
         return
-    dist = float(np.min(np.abs(spectrum(op) - z.real)))
-    if dist <= _REAL_GUARD * max(1.0, op.norm_bound()):
+    energy = z.real
+    delta = _REAL_GUARD * max(1.0, op.norm_bound())
+    if op.volume.is_chain:
+        diagonal = op.diagonal.tolist()
+        above = _sturm_count(diagonal, math.nextafter(energy + delta, math.inf))
+        inside = above - _sturm_count(diagonal, energy - delta)
+    else:
+        inside = int(np.count_nonzero(np.abs(spectrum(op) - energy) <= delta))
+    if inside > 0:
         raise NumericalError(
-            f"energy {z.real!r} is within {dist:.3e} of the finite-volume spectrum"
+            f"energy {energy!r} is within {delta:.3e} of the finite-volume spectrum"
+            f" ({inside} eigenvalue{'s' if inside > 1 else ''} that close)"
         )
 
 
@@ -241,7 +277,9 @@ def green_column(op: FiniteVolumeOperator, z: complex, y) -> np.ndarray:
     with ``d >= 2`` at a complex ``z`` is eliminated slab by slab
     (``_slab_column``); every other volume and every real ``z`` takes a dense
     solve behind the spectrum guard, since at a real energy a slab pivot can
-    be singular where ``H - z`` is not.
+    be singular where ``H - z`` is not.  On a chain the guard counts the
+    eigenvalues near ``z`` by two Sturm counts instead of computing the
+    spectrum (``_check_not_in_spectrum``).
     """
     iy = op.volume.index_of(y)
     if iy < 0:

@@ -1,13 +1,16 @@
+import importlib.util
 import itertools
+import json
 import math
 from dataclasses import replace as dc_replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import integrate
 
 import alloysim as al
-from alloysim import AlloyModel, build_single_site, build_volume, estimators
+from alloysim import AlloyModel, build_single_site, build_volume, estimators, experiments, lattice
 from alloysim.estimators import _MAX_ATTEMPTS, _block_size, _realizations
 
 
@@ -523,6 +526,66 @@ class TestRouterOracles:
             assert (res.half_moment.value, res.half_moment.stderr) == _mean_and_stderr(half)
             assert res.p_two.metadata["redraws"] == two_redraws == redraws
         return redraws
+
+
+REPO = Path(__file__).resolve().parents[1]
+
+
+def _bench_recursion_config(seed):
+    """The small-chain bench ``recursion`` config at a workload seed."""
+    spec = importlib.util.spec_from_file_location(
+        "alloysim_bench_workloads", REPO / "bench" / "workloads.py"
+    )
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return workloads.configs("small-chain", seed)["recursion"]
+
+
+class TestRealEnergyGuard:
+    """On chains the guard counts eigenvalues with two Sturm counts; its
+    decision equals that of the spectrum-distance rule it replaced on every
+    real-energy solve of the suite and bench ``recursion`` runs, so the same
+    streams are redrawn."""
+
+    @pytest.fixture
+    def decisions(self, monkeypatch):
+        guard = lattice._check_not_in_spectrum
+        seen = []
+
+        def spy(op, z):
+            # the rule before Sturm counts: the distance to the full spectrum
+            dist = float(np.min(np.abs(al.spectrum(op) - z.real)))
+            old = dist <= lattice._REAL_GUARD * max(1.0, op.norm_bound())
+            try:
+                guard(op, z)
+            except al.NumericalError:
+                seen.append((op.volume.is_chain, old, True))
+                raise
+            seen.append((op.volume.is_chain, old, False))
+
+        monkeypatch.setattr(lattice, "_check_not_in_spectrum", spy)
+        return seen
+
+    @pytest.mark.parametrize("config", ["suite", "bench-0", "bench-1"])
+    def test_recursion_runs_decide_as_the_spectrum_did(self, decisions, config, tmp_path):
+        if config == "suite":
+            cfg = json.loads((REPO / "suites" / "acceptance_checks" / "recursion.json").read_text())
+        else:
+            cfg = _bench_recursion_config(int(config[-1]))
+        path = tmp_path / "recursion.json"
+        path.write_text(json.dumps(cfg))
+        assert experiments.run(str(path), out=str(tmp_path / "out")) == 0
+        p = cfg["params"]
+        assert len(decisions) >= p["n_samples"] * len(p["lams"])
+        assert all(chain for chain, _, _ in decisions)
+        assert [new for _, _, new in decisions] == [old for _, old, _ in decisions]
+
+    def test_bernoulli_chain_on_the_spectrum_still_redraws(self, decisions, bernoulli_chain):
+        # every field with all couplings 0 has the eigenvalue 0 at each lam
+        probe = al.recursion_probe(*bernoulli_chain, 0.0, -2, 0, 0.5, [3.0, 6.0], 200, 2)
+        assert probe.rows[0].lhs.metadata["redraws"] > 0
+        assert [new for _, _, new in decisions] == [old for _, old, _ in decisions]
+        assert any(new for _, _, new in decisions)
 
 
 class TestExactExpectations:

@@ -7,6 +7,7 @@ import scipy.linalg
 
 import alloysim as al
 from alloysim import assemble, build_volume, green, green_column, spectrum
+from alloysim.lattice import _REAL_GUARD, _sturm_count
 
 
 def diag_operator(diag, lam=1.0):
@@ -184,8 +185,32 @@ class TestGreen:
     def test_real_energy_guard(self):
         op = diag_operator([1.0, 2.0, 3.0])
         e0 = float(spectrum(op)[0])
-        with pytest.raises(al.NumericalError):
+        # delta = 1e-12 * norm_bound = 1e-12 * (2 + 3)
+        expected = (f"energy {e0!r} is within 5.000e-12 of the finite-volume spectrum"
+                    " (1 eigenvalue that close)")
+        with pytest.raises(al.NumericalError) as err:
             green_column(op, e0, 0)
+        assert str(err.value) == expected
+
+    def test_real_energy_guard_window_is_closed(self):
+        # one site: the eigenvalue 0 lies exactly at E + delta, then at
+        # E - delta, with delta = 1e-12 * norm_bound = 2e-12
+        op = diag_operator([0.0])
+        for energy in (-2e-12, 2e-12):
+            with pytest.raises(al.NumericalError):
+                green_column(op, energy, 0)
+        assert np.all(np.isfinite(green_column(op, 2.5e-12, 0)))
+
+    def test_real_energy_guard_off_chains_counts_the_spectrum(self):
+        # the free 3 x 3 box has the eigenvalue 0 three times; delta = 1e-12 * 4
+        vol = build_volume(2, radius=1)
+        op = assemble(SimpleNamespace(volume=vol, field=np.zeros(len(vol))), 1.0)
+        expected = ("energy 0.0 is within 4.000e-12 of the finite-volume spectrum"
+                    " (3 eigenvalues that close)")
+        with pytest.raises(al.NumericalError) as err:
+            green_column(op, 0.0, (0, 0))
+        assert str(err.value) == expected
+        assert np.all(np.isfinite(green_column(op, 0.5, (0, 0))))
 
     def test_real_energy_away_from_spectrum_works(self):
         op = diag_operator([1.0, 2.0, 3.0])
@@ -384,6 +409,9 @@ class TestChainCount:
         diags = np.full((1, n), zero)
         assert al.chain_count(diags, np.zeros((1, 1))).item() == n // 2
         assert al.chain_count(diags, [[-1e-300, 1e-300]]).tolist() == [[n // 2, (n + 1) // 2]]
+        # and so does the guard's scalar count
+        counts = [_sturm_count(diags[0].tolist(), x) for x in (0.0, -0.0, -1e-300, 1e-300)]
+        assert counts == [n // 2, n // 2, n // 2, (n + 1) // 2]
 
     def test_fortran_order_and_infinite_energies(self, rng):
         diags = rng.normal(size=(5, 40))
@@ -391,6 +419,37 @@ class TestChainCount:
         counts = al.chain_count(np.asfortranarray(diags), x)
         np.testing.assert_array_equal(counts, al.chain_count(diags, x))
         assert np.all(counts[:, 0] == 0) and np.all(counts[:, -1] == 40)
+
+
+class TestScalarSturmCount:
+    """The guard's scalar count ``_sturm_count`` equals ``chain_count``."""
+
+    @pytest.mark.parametrize("n", [1, 2, 13, 33, 801])
+    def test_matches_the_batched_count(self, rng, n):
+        for scale in (1.0, 10.0):
+            diag = scale * rng.normal(size=n)
+            op = diag_operator(diag)
+            delta = _REAL_GUARD * max(1.0, op.norm_bound())
+            evals = chain_eigenvalues(diag)
+            if n > 40:
+                evals = rng.choice(evals, size=40, replace=False)
+            offsets = np.array([0.0, 0.5, -0.5, 2.0, -2.0, 10.0, -10.0]) * delta
+            x = np.concatenate([
+                rng.uniform(-2.0 - 3 * scale, 2.0 + 3 * scale, size=20),
+                diag[:5],  # diag[0] makes the first pivot zero
+                (evals[:, None] + offsets).ravel(),
+            ])
+            expected = al.chain_count(diag[None], x[None])[0]
+            assert [_sturm_count(diag.tolist(), e) for e in x] == expected.tolist()
+
+    @pytest.mark.parametrize("n", [1, 2, 13, 33, 801])
+    def test_count_sum_rules(self, rng, n):
+        # every eigenvalue lies in [-bound, bound], bound = norm_bound()
+        op = diag_operator(5.0 * rng.normal(size=n))
+        bound = op.norm_bound()
+        diagonal = op.diagonal.tolist()
+        assert _sturm_count(diagonal, -bound) == 0
+        assert _sturm_count(diagonal, math.nextafter(bound, math.inf)) == n
 
 
 class TestResolventIdentity:
