@@ -4,10 +4,13 @@ Every estimator is a pure function of its arguments including
 ``(master_seed)``: realization ``r`` draws from stream ``r``, and retries
 after a rejected draw (real energy hitting the spectrum) bump only the
 attempt counter of that stream, so results are independent of evaluation
-order and reproducible bit for bit.  All estimators draw through one
-per-stream routine, and each realization is drawn once per call: every
-interval, disorder strength or offset of a sweep is evaluated on the same
-field.  Two routers pick the path to the finite-volume operator.
+order and reproducible bit for bit.  Each realization is drawn once per
+call: every interval, disorder strength or offset of a sweep is evaluated on
+the same field.  Where the reduction cannot reject a draw, fields are drawn
+in blocks of streams (``draw_fields``); where it can, each stream is drawn
+and reduced on its own (``sample_field``), so a rejection redraws only that
+stream.  Both give every field the same doubles.  Two routers pick the path
+to the finite-volume operator.
 ``fractional_moment``, ``green_decay_profile``, ``minami_determinant`` and
 ``recursion_probe`` read resolvent entries through ``_green_rows``: the
 batched tridiagonal kernel ``chain_green`` for a complex energy on a chain,
@@ -15,10 +18,12 @@ one ``green_column`` call per site and realization otherwise (slab by slab on
 a d >= 2 box at a complex energy, densely on other volumes and at real
 energies).  A dense solve at a real energy ``E`` first checks that no
 eigenvalue lies within a tiny ``delta`` of ``E``: on a chain by two Sturm
-counts, with no spectrum computed, elsewhere from the full spectrum.
-``wegner_count`` and ``two_level_probability`` read eigenvalue
-counts through ``_count_rows``.  ``fvc_probability`` needs the whole
-resolvent and inverts each operator densely.
+counts, with no spectrum computed, elsewhere from the full spectrum.  The
+chain kernel's fields come in blocks, the ``green_column`` calls' one stream
+at a time.  ``wegner_count`` and ``two_level_probability`` read eigenvalue
+counts through ``_count_rows``, one spectrum per field of a block.
+``fvc_probability`` needs the whole resolvent and inverts each operator
+densely, one stream at a time.
 """
 
 from __future__ import annotations
@@ -30,10 +35,12 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import NumericalError, ValidationError
-from .field import sample_field
+from .field import _MAX_ATTEMPTS, draw_fields, sample_field
 from .lattice import (
     FiniteVolume,
+    FiniteVolumeOperator,
     _check_not_in_spectrum,
+    _finite_energy,
     as_point,
     assemble,
     chain_green,
@@ -59,8 +66,6 @@ __all__ = [
     "recursion_probe",
     "fvc_probability",
 ]
-
-_MAX_ATTEMPTS = 8
 
 
 def _mean_estimate(values: np.ndarray, master_seed: int, metadata: dict) -> Estimate:
@@ -108,27 +113,46 @@ def _block_size(n: int) -> int:
 
 
 def _realizations(
-    model: AlloyModel, volume: FiniteVolume, n_samples: int, master_seed: int, row, block=None
+    model: AlloyModel, volume: FiniteVolume, n_samples: int, master_seed: int, row
 ):
     """``row(real)`` for the realizations ``0 .. n_samples-1``, in order, and
     the number of redraws.
 
-    Realization ``r`` draws from stream ``r`` (see ``_draw``).  With
-    ``block``, the rows of ``_block_size(n)`` consecutive realizations from
-    ``first`` on are stacked and ``block(rows, first)`` reduces them, without
-    a redraw; the reductions are concatenated.
+    Realization ``r`` draws from stream ``r`` and is reduced inside its draw
+    (see ``_draw``), so a ``NumericalError`` from ``row`` redraws that stream.
     """
     _check_count(n_samples)
-    size = _block_size(len(volume)) if block else n_samples
+    out, redraws = [], 0
+    for r in range(n_samples):
+        value, k = _draw(model, volume, master_seed, r, row)
+        out.append(value)
+        redraws += k
+    return out, redraws
+
+
+def _block_realizations(
+    model: AlloyModel, volume: FiniteVolume, n_samples: int, master_seed: int, block
+):
+    """``block(fields, first)`` over the realizations ``0 .. n_samples-1``,
+    concatenated, and the number of redraws.
+
+    The fields of ``_block_size(n)`` consecutive streams from ``first`` on
+    are drawn at once by ``draw_fields``, each the field of ``sample_field``
+    for its stream.  A failed draw redraws its stream there, but nothing
+    ``block`` raises is redrawn, so it serves only reductions that cannot
+    reject a draw.
+    """
+    _check_count(n_samples)
+    size = _block_size(len(volume))
     out, redraws = [], 0
     for first in range(0, n_samples, size):
-        rows = []
-        for r in range(first, min(first + size, n_samples)):
-            value, k = _draw(model, volume, master_seed, r, row)
-            rows.append(value)
-            redraws += k
-        out.append(block(np.asarray(rows), first) if block else rows)
-    return (np.concatenate(out) if block else out[0]), redraws
+        fields, attempts = draw_fields(
+            model.potential, model.measure, volume, master_seed, first,
+            min(size, n_samples - first),
+        )
+        out.append(block(fields, first))
+        redraws += int(attempts.sum())
+    return np.concatenate(out), redraws
 
 
 def _on_chain_kernel(volume: FiniteVolume, z: complex) -> bool:
@@ -150,11 +174,12 @@ def _green_rows(
     ``g[i, j, k, c] = G(z; sites[k], cols[c])`` for realization ``first + i``
     at ``lams[j]``, filled while ``first + i < counts[j]`` and nan after;
     ``fields[i]`` is that realization's field.  A complex ``z`` on a chain
-    takes the batched kernel over blocks of fields, and ``reduce`` runs on
-    each block after its draws, so nothing it raises is redrawn.  Otherwise
-    each realization is solved by ``green_column`` (slab by slab on a d >= 2
-    box at a complex ``z``, densely on any other volume or at a real ``z``)
-    and reduced as a one-row block inside its draw: a ``NumericalError`` from
+    takes the batched kernel over blocks of fields drawn at once, and
+    ``reduce`` runs on each block after its draws, so nothing it raises is
+    redrawn.  Otherwise each realization is drawn on its own, solved by
+    ``green_column`` (slab by slab on a d >= 2 box at a complex ``z``,
+    densely on any other volume or at a real ``z``) and reduced as a one-row
+    block inside its draw: a ``NumericalError`` from
     the solve or from ``reduce`` (a real energy hitting the spectrum) redraws
     only that stream, except ``_InvariantViolation``, which propagates at
     once.
@@ -171,7 +196,7 @@ def _green_rows(
                     g[: m - first, j] = rows[:, :, cols]
             return reduce(g, fields, first)
 
-        return _realizations(model, volume, n_samples, master_seed, lambda real: real.field, block)
+        return _block_realizations(model, volume, n_samples, master_seed, block)
 
     def row(real):
         g = np.full((1, *shape), nan)
@@ -191,18 +216,28 @@ def _count_rows(
 ):
     """Count of the eigenvalues at ``model.lam`` in each closed, nondegenerate
     interval ``[a, b]``, one float row per realization, and the number of
-    redraws."""
+    redraws.  Fields come in blocks (nothing here rejects a draw), each
+    row's operator is built from ``lam * fields`` and diagonalized on its
+    own."""
     for a, b in intervals:
         if not b > a:
             raise ValidationError("interval must be nondegenerate")
     a, b = np.asarray(intervals, dtype=float).reshape(-1, 2).T
 
-    def count(real):
-        evals = spectrum(assemble(real, model.lam))
-        return np.searchsorted(evals, b, side="right") - np.searchsorted(evals, a, side="left")
+    def counts(fields, first):
+        out = np.empty((len(fields), len(a)))
+        for i, diagonal in enumerate(model.lam * fields):
+            evals = spectrum(FiniteVolumeOperator(volume, float(model.lam), diagonal))
+            upto_b = np.searchsorted(evals, b, side="right")
+            out[i] = upto_b - np.searchsorted(evals, a, side="left")
+        return out
 
-    rows, redraws = _realizations(model, volume, n_samples, master_seed, count)
-    return np.asarray(rows, dtype=float), redraws
+    return _block_realizations(model, volume, n_samples, master_seed, counts)
+
+
+def _check_lams(lams) -> None:
+    if not all(math.isfinite(lam) for lam in lams):
+        raise ValidationError(f"disorder strengths must be finite, got {list(lams)!r}")
 
 
 def _require_inside(volume: FiniteVolume, *points) -> list[int]:
@@ -233,7 +268,7 @@ def fractional_moment(
     if not 0 < s < 1:
         raise ValidationError("moment order s must lie in (0, 1)")
     ix, iy = _require_inside(volume, x, y)
-    z = complex(z)
+    z = _finite_energy(z)
     values, redraws = _green_rows(
         model, volume, z, [iy], [ix], [model.lam], [n_samples], n_samples, master_seed,
         lambda g, fields, first: np.abs(g[:, 0, 0, 0]) ** s,
@@ -304,7 +339,7 @@ def green_decay_profile(
     targets = [base + as_point(o, volume.dimension) for o in offsets]
     cols = np.asarray(_require_inside(volume, *targets))
     dists = np.asarray([int(np.abs(t - base).sum()) for t in targets])
-    z = complex(z)
+    z = _finite_energy(z)
 
     data, redraws = _green_rows(
         model, volume, z, [ix], cols, [model.lam], [n_samples], n_samples, master_seed,
@@ -410,9 +445,10 @@ def minami_determinant(
     ``(pi / lam)**2`` times the two-eigenvalue constant when the model
     provides it.
     """
-    z = complex(z)
+    z = _finite_energy(z)
     if z.imag <= 0:
         raise ValidationError("the determinant estimator needs Im z > 0")
+    _check_lams(lams)
     ix, iy = _require_inside(volume, x, y)
     if ix == iy:
         raise ValidationError("need two distinct points")
@@ -550,6 +586,8 @@ def recursion_probe(
         raise ValidationError("moment order s must lie in (0, 1)")
     if not lams:
         raise ValidationError("need at least one disorder strength")
+    _check_lams(lams)
+    _finite_energy(energy)
     if model.potential.value_at(np.zeros(model.dimension, dtype=int)) == 0.0:
         raise ValidationError("the recursion step needs the profile to cover the origin")
     ix, iy = _require_inside(volume, x, y)
@@ -606,6 +644,7 @@ def fvc_probability(
     d = volume.dimension
     if exponent <= 3 * d - 1:
         raise ValidationError(f"exponent must exceed 3d - 1 = {3 * d - 1}")
+    _finite_energy(energy)
     L = volume.radius
     pts = volume.points
     supdist = np.abs(pts[:, None, :] - pts[None, :, :]).max(axis=2)

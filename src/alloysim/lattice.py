@@ -49,6 +49,14 @@ def as_point(point, dimension: int) -> tuple[int, ...]:
     return pt
 
 
+def _hopping_matrix(pairs: np.ndarray, n: int, dtype) -> np.ndarray:
+    """``n x n`` hopping: -1 at each index pair and its mirror, 0 elsewhere."""
+    hop = np.zeros((n, n), dtype=dtype)
+    hop[pairs[:, 0], pairs[:, 1]] = -1.0
+    hop[pairs[:, 1], pairs[:, 0]] = -1.0
+    return hop
+
+
 class FiniteVolume:
     """Ordered finite subset of the lattice with cached adjacency."""
 
@@ -62,6 +70,7 @@ class FiniteVolume:
             raise ValidationError("volume points must be distinct")
         self._pairs: Optional[np.ndarray] = None
         self._slab: Optional[np.ndarray] = None
+        self._hopping: Optional[np.ndarray] = None
         self._layouts: dict = {}
         # True for one-dimensional volumes with contiguous sites; ``points``
         # is never reassigned, so it is decided once here.
@@ -113,12 +122,18 @@ class FiniteVolume:
         if self._slab is None:
             m = len(self) // (2 * self.radius + 1)
             pairs = self.neighbor_pairs()
-            inner = pairs[pairs[:, 1] < m]
-            hop = np.zeros((m, m))
-            hop[inner[:, 0], inner[:, 1]] = -1.0
-            hop[inner[:, 1], inner[:, 0]] = -1.0
-            self._slab = hop
+            self._slab = _hopping_matrix(pairs[pairs[:, 1] < m], m, float)
         return self._slab
+
+    def _complex_hopping(self) -> np.ndarray:
+        """Hopping of the whole volume as a read-only complex ``n x n``
+        matrix: -1 between l1 neighbours, 0 elsewhere, the diagonal included.
+        Built on first use, by the dense solves that copy it."""
+        if self._hopping is None:
+            hop = _hopping_matrix(self.neighbor_pairs(), len(self), complex)
+            hop.flags.writeable = False
+            self._hopping = hop
+        return self._hopping
 
     def coupling_layout(self, u) -> tuple[np.ndarray, np.ndarray]:
         """Coupling index set for a profile and the gather map onto it.
@@ -191,11 +206,7 @@ class FiniteVolumeOperator:
     @cached_property
     def matrix(self) -> np.ndarray:
         n = self.size
-        mat = np.zeros((n, n))
-        pairs = self.volume.neighbor_pairs()
-        if len(pairs):
-            mat[pairs[:, 0], pairs[:, 1]] = -1.0
-            mat[pairs[:, 1], pairs[:, 0]] = -1.0
+        mat = _hopping_matrix(self.volume.neighbor_pairs(), n, float)
         mat[np.arange(n), np.arange(n)] = self.diagonal
         return mat
 
@@ -269,6 +280,15 @@ def _check_not_in_spectrum(op: FiniteVolumeOperator, z: complex) -> None:
         )
 
 
+def _finite_energy(z) -> complex:
+    """``z`` as a complex number; a nan or infinite part is a
+    ``ValidationError``."""
+    z = complex(z)
+    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
+        raise ValidationError(f"energy {z!r} is not finite")
+    return z
+
+
 def green_column(op: FiniteVolumeOperator, z: complex, y) -> np.ndarray:
     """Column ``G(z; ., y)`` of the resolvent as a vector over the volume.
 
@@ -284,15 +304,23 @@ def green_column(op: FiniteVolumeOperator, z: complex, y) -> np.ndarray:
     iy = op.volume.index_of(y)
     if iy < 0:
         raise ValidationError(f"point {y!r} is outside the volume")
-    z = complex(z)
+    z = _finite_energy(z)
     if z.imag != 0 and op.volume.kind == "box" and op.volume.dimension >= 2:
         return _slab_column(op, z, iy)
     _check_not_in_spectrum(op, z)
     rhs = np.zeros(op.size, dtype=complex)
     rhs[iy] = 1.0
-    shifted = op.matrix.astype(complex)
-    shifted[np.arange(op.size), np.arange(op.size)] -= z
-    return np.linalg.solve(shifted, rhs)
+    return np.linalg.solve(_shifted_matrix(op, z), rhs)
+
+
+def _shifted_matrix(op: FiniteVolumeOperator, z: complex) -> np.ndarray:
+    """Dense complex ``H - z``: a copy of the volume's cached hopping with
+    ``diagonal - z`` written on its diagonal.  Each entry is the double that
+    ``op.matrix.astype(complex)`` minus ``z`` on the diagonal gives, without
+    building the real matrix."""
+    shifted = op.volume._complex_hopping().copy()
+    shifted.flat[:: op.size + 1] = op.diagonal - z
+    return shifted
 
 
 def _slab_column(op: FiniteVolumeOperator, z: complex, iy: int) -> np.ndarray:

@@ -215,26 +215,54 @@ class CouplingMeasure:
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         """Draw ``size`` i.i.d. couplings using the supplied generator."""
+        return self._map_rows(self._fill_row(rng, np.empty(size)))
+
+    # ``sample`` in two steps, so that a block of streams (``field.draw_fields``)
+    # runs the first per stream, each generator filling one row, and the
+    # second once over the block: every coupling is the same double either way.
+
+    def _fill_row(self, rng: np.random.Generator, row: np.ndarray) -> np.ndarray:
+        """Fill ``row`` from ``rng`` and return it: the raw uniforms or normals
+        of the direct kinds, finished couplings of the rejection kinds."""
+        p = self.params
+        if self.kind in ("uniform", "bernoulli"):
+            rng.random(out=row)
+        elif self.kind == "gaussian":
+            rng.standard_normal(out=row)
+        elif self.kind == "cosine":
+            self._rejection_sample(rng, row, p["lo"], p["hi"],
+                                   lambda t: 0.5 * (1.0 - np.cos(2 * math.pi * t)))
+        else:
+            lo, hi = self.support
+            dmax = max(p["density"])
+            self._rejection_sample(rng, row, lo, hi,
+                                   lambda t: self.pdf(lo + t * (hi - lo)) / dmax)
+        return row
+
+    def _map_rows(self, raw: np.ndarray) -> np.ndarray:
+        """Couplings from ``_fill_row`` output of any shape, mapped in place and
+        returned: the affine map or threshold of the direct kinds, elementwise;
+        the rejection kinds' rows are left as they are.  In place, a large
+        draw never holds a second array of its size."""
         p = self.params
         if self.kind == "uniform":
-            return p["lo"] + (p["hi"] - p["lo"]) * rng.random(size)
-        if self.kind == "gaussian":
-            return p["mean"] + math.sqrt(p["variance"]) * rng.standard_normal(size)
-        if self.kind == "bernoulli":
+            raw *= p["hi"] - p["lo"]
+            raw += p["lo"]
+        elif self.kind == "gaussian":
+            raw *= math.sqrt(p["variance"])
+            raw += p["mean"]
+        elif self.kind == "bernoulli":
             lo_lv, hi_lv = p["levels"]
-            return np.where(rng.random(size) < p["p"], hi_lv, lo_lv)
-        if self.kind == "cosine":
-            return self._rejection_sample(rng, size, p["lo"], p["hi"],
-                                          lambda t: 0.5 * (1.0 - np.cos(2 * math.pi * t)))
-        lo, hi = self.support
-        dmax = max(self.params["density"])
-        return self._rejection_sample(rng, size, lo, hi,
-                                      lambda t: self.pdf(lo + t * (hi - lo)) / dmax)
+            hit = raw < p["p"]
+            raw.fill(lo_lv)
+            raw[hit] = hi_lv
+        return raw
 
     @staticmethod
-    def _rejection_sample(rng, size, lo, hi, accept_prob) -> np.ndarray:
-        # accept_prob maps the unit-interval position to density / envelope.
-        out = np.empty(size)
+    def _rejection_sample(rng, out, lo, hi, accept_prob) -> None:
+        # Fills ``out``; accept_prob maps the unit-interval position to
+        # density / envelope.
+        size = len(out)
         filled = 0
         while filled < size:
             batch = max(2 * (size - filled) + 16, 64)
@@ -243,7 +271,6 @@ class CouplingMeasure:
             take = min(keep.size, size - filled)
             out[filled : filled + take] = lo + (hi - lo) * keep[:take]
             filled += take
-        return out
 
 
 @dataclass(frozen=True)

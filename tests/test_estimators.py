@@ -11,6 +11,7 @@ from scipy import integrate
 
 import alloysim as al
 from alloysim import AlloyModel, build_single_site, build_volume, estimators, experiments, lattice
+from alloysim import field as field_module
 from alloysim.estimators import _MAX_ATTEMPTS, _block_size, _realizations
 
 
@@ -328,15 +329,19 @@ class TestSmallnessProbability:
 
 @pytest.fixture
 def draws(monkeypatch):
-    """(stream, attempt) of every field the estimators draw."""
+    """(stream, attempt) of every field the estimators draw.
+
+    Every draw, one stream at a time (``sample_field``) or a block of streams
+    at once (``draw_fields``), takes its generator from ``field.stream_rng``.
+    """
     calls = []
-    sample = estimators.sample_field
+    stream = field_module.stream_rng
 
-    def spy(*args):
-        calls.append(args[4:6])
-        return sample(*args)
+    def spy(master_seed, stream_index, attempt=0):
+        calls.append((stream_index, attempt))
+        return stream(master_seed, stream_index, attempt)
 
-    monkeypatch.setattr(estimators, "sample_field", spy)
+    monkeypatch.setattr(field_module, "stream_rng", spy)
     return calls
 
 
@@ -500,17 +505,32 @@ class TestRouterOracles:
         self._check_counts(anderson_gaussian, vol, intervals, seed)
 
     def test_counts_with_a_redraw(self, anderson_gaussian, draws, monkeypatch):
-        spy = estimators.sample_field
+        spy = field_module.stream_rng
 
-        def flaky(*args):
-            real = spy(*args)
-            if args[4:6] == (3, 0):
+        def flaky(master_seed, stream_index, attempt=0):
+            rng = spy(master_seed, stream_index, attempt)
+            if (stream_index, attempt) == (3, 0):
                 raise al.NumericalError("rejected draw")
-            return real
+            return rng
 
-        monkeypatch.setattr(estimators, "sample_field", flaky)
+        monkeypatch.setattr(field_module, "stream_rng", flaky)
         assert self._check_counts(anderson_gaussian, build_volume(1, radius=4),
                                   [(-1.0, 1.0), (0.2, 3.0)], 5) == 1
+
+    def test_counts_on_a_box_across_blocks(self, anderson_gaussian, monkeypatch):
+        # blocks of 7 fields on a 5 x 5 box, stream 9 redrawn inside the second
+        monkeypatch.setattr(estimators, "_block_size", lambda n: 7)
+        spy = field_module.stream_rng
+
+        def flaky(master_seed, stream_index, attempt=0):
+            rng = spy(master_seed, stream_index, attempt)
+            if (stream_index, attempt) == (9, 0):
+                raise al.NumericalError("rejected draw")
+            return rng
+
+        monkeypatch.setattr(field_module, "stream_rng", flaky)
+        assert self._check_counts(anderson_gaussian, build_volume(2, radius=2),
+                                  [(-1.0, 1.0), (-0.5, 0.5), (0.2, 3.0)], 8) == 1
 
     @staticmethod
     def _check_counts(model, vol, intervals, seed):
@@ -802,15 +822,15 @@ class TestRealizationLoop:
     ], ids=["fractional-moment", "decay", "minami", "wegner", "two-level"])
     def test_failed_draw_redrawn_and_reported(self, anderson_gaussian, draws, monkeypatch,
                                               estimate):
-        spy = estimators.sample_field
+        spy = field_module.stream_rng
 
         def flaky(*args):
-            real = spy(*args)
+            rng = spy(*args)
             if draws[-1] == (1, 0):
                 raise al.NumericalError("rejected draw")
-            return real
+            return rng
 
-        monkeypatch.setattr(estimators, "sample_field", flaky)
+        monkeypatch.setattr(field_module, "stream_rng", flaky)
         for est in estimate(anderson_gaussian, build_volume(1, radius=2)):
             assert est.metadata["redraws"] == 1
         assert draws == [(0, 0), (1, 0), (1, 1), (2, 0)]
@@ -867,3 +887,26 @@ class TestRealizationLoop:
             al.minami_determinant(anderson_gaussian, vol, 0.1j, 0, 1, [10.0], 5, master_seed=3)
         # the block is drawn whole, and nothing is redrawn
         assert draws == [(r, 0) for r in range(5)]
+
+
+class TestNonFiniteInputs:
+    """A nan or infinite energy or disorder strength is a ``ValidationError``
+    before any draw, never a LAPACK error, a warning or a nan estimate."""
+
+    @pytest.mark.parametrize("probe", [
+        lambda m, v: al.recursion_probe(m, v, math.nan, 0, 2, 0.5, [5.0], 5, 0),
+        lambda m, v: al.recursion_probe(m, v, math.inf, 0, 2, 0.5, [5.0], 5, 0),
+        lambda m, v: al.recursion_probe(m, v, 0.3, 0, 2, 0.5, [5.0, math.inf], 5, 0),
+        lambda m, v: al.fractional_moment(m, v, complex(math.nan, 0.01), 0, 1, 0.5, 5, 0),
+        lambda m, v: al.fractional_moment(m, v, complex(1.0, math.inf), 0, 1, 0.5, 5, 0),
+        lambda m, v: al.green_decay_profile(m, v, complex(math.nan, 0.01), 0, [[0], [1]],
+                                            0.5, 5, 0),
+        lambda m, v: al.minami_determinant(m, v, 0.05j, 0, 1, [math.nan], 5, 0),
+        lambda m, v: al.fvc_probability(m, v, math.nan, 3.0, 5, 0),
+    ], ids=["recursion-nan-energy", "recursion-inf-energy", "recursion-inf-lam",
+            "moment-nan-energy", "moment-inf-imaginary-part", "decay-nan-energy",
+            "minami-nan-lam", "fvc-nan-energy"])
+    def test_rejected_before_any_draw(self, anderson_gaussian, draws, probe):
+        with pytest.raises(al.ValidationError, match="finite"):
+            probe(anderson_gaussian, build_volume(1, radius=4))
+        assert draws == []

@@ -48,7 +48,8 @@ def test_every_public_name_is_declared_in_its_module():
 # module, nor the ``importlib.metadata`` a version lookup would load, and runs
 # of kinds that never call scipy load none either; ``recursion`` is one of
 # them, since its real-energy guard counts chain eigenvalues by Sturm counts
-# instead of computing a spectrum.  A chain spectrum loads
+# instead of computing a spectrum, and so are ``minami`` and
+# ``decay-profile``, whose fields come in blocks.  A chain spectrum loads
 # ``scipy.linalg``; the quadrature checks load ``scipy.integrate`` (which loads
 # ``scipy.optimize``); nothing loads ``scipy.stats``.  The ``ids`` and
 # ``poisson`` runs fork their realization loops, and suites their members,
@@ -175,6 +176,20 @@ def test_bulk_sampling_kinds_load_no_scipy_linalg(tmp_path):
     code, modules = report["gaussian-conditioning"]
     assert code == 0 and "scipy.special" in modules
     assert [m for m in modules if m.startswith("scipy.linalg")] == []
+
+
+def test_block_draw_kinds_load_no_scipy(tmp_path):
+    # minami and decay-profile draw their fields in blocks of streams and
+    # solve them with the chain kernel: numpy alone
+    paths = []
+    for member, params in [("minami", {"n_samples": 300, "scaling_samples": 600}),
+                           ("decay", {})]:
+        config = json.loads((MEMBERS / f"{member}.json").read_text())
+        config["params"].update(params)
+        paths.append(tmp_path / f"{member}.json")
+        paths[-1].write_text(json.dumps(config))
+    report, _ = _fresh_interpreter(BULK_GUARD, *paths)
+    assert report == {"minami": [0, []], "decay": [0, []]}
 
 
 FORKED_SUITE = """

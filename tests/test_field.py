@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 import alloysim as al
-from alloysim import build_single_site, build_volume, sample_field
+from alloysim import build_single_site, build_volume, draw_fields, sample_field
+from alloysim import field as field_module
+from alloysim.rng import _BLOCK
 
 
 class TestConvolution:
@@ -112,3 +114,81 @@ class TestStatistics:
         for point in (0.5, [1.5], [0, 0]):
             with pytest.raises(al.ValidationError):
                 real.coupling_at(point)
+
+
+MEASURES = {
+    "uniform": al.CouplingMeasure.uniform(-0.5, 1.5),
+    "gaussian": al.CouplingMeasure.gaussian(0.3, 2.0),
+    "bernoulli": al.CouplingMeasure.bernoulli(0.3, (-1.0, 2.0)),
+    "cosine": al.CouplingMeasure.cosine(0.0, 1.0),
+    # triangle density on [0, 1], peak 2 at the middle knot
+    "grid": al.CouplingMeasure.from_grid(np.linspace(0.0, 1.0, 11),
+                                         2.0 - 4.0 * np.abs(np.linspace(0.0, 1.0, 11) - 0.5)),
+}
+
+SHAPES = {
+    "chain-one-tap": (build_single_site(1, [((0,), 1.0)]), build_volume(1, radius=4)),
+    "chain-two-tap": (build_single_site(1, [((0,), 1.0), ((1,), 0.7)]), build_volume(1, radius=4)),
+    # three taps: the order of the gather's additions shows in the last bits
+    "chain-three-tap": (build_single_site(1, [((0,), 1.0), ((1,), 0.7), ((-2,), -0.3)]),
+                        build_volume(1, radius=4)),
+    "box-one-tap": (build_single_site(2, [((0, 0), 1.0)]), build_volume(2, radius=2)),
+    "box-two-tap": (build_single_site(2, [((0, 0), 1.0), ((1, 0), -0.4)]),
+                    build_volume(2, radius=2)),
+    "explicit": (build_single_site(1, [((0,), 1.0), ((-2,), 0.5)]),
+                 build_volume(1, points=[(5,), (0,), (1,)])),
+}
+
+
+def _stacked(u, measure, vol, seed, first, count, attempts=None):
+    attempts = [0] * count if attempts is None else attempts
+    return np.array([sample_field(u, measure, vol, seed, first + i, a).field
+                     for i, a in zip(range(count), attempts)])
+
+
+class TestDrawFields:
+    """A block of fields equals the per-stream draws stacked, bit for bit."""
+
+    @pytest.mark.parametrize("shape", sorted(SHAPES))
+    @pytest.mark.parametrize("kind", sorted(MEASURES))
+    def test_rows_equal_sample_field(self, kind, shape):
+        u, vol = SHAPES[shape]
+        fields, attempts = draw_fields(u, MEASURES[kind], vol, 17, 3, 6)
+        assert fields.shape == (6, len(vol))
+        assert np.array_equal(fields, _stacked(u, MEASURES[kind], vol, 17, 3, 6))
+        assert attempts.tolist() == [0] * 6
+
+    @pytest.mark.parametrize("kind", sorted(MEASURES))
+    def test_block_straddles_a_seed_block_edge(self, kind, two_tap):
+        vol = build_volume(1, radius=3)
+        first = _BLOCK - 4
+        fields, _ = draw_fields(two_tap, MEASURES[kind], vol, 29, first, 9)
+        assert np.array_equal(fields, _stacked(two_tap, MEASURES[kind], vol, 29, first, 9))
+
+    @pytest.mark.parametrize("kind", sorted(MEASURES))
+    def test_failed_stream_comes_back_at_attempt_one(self, kind, two_tap, monkeypatch):
+        vol = build_volume(1, radius=3)
+        stream = field_module.stream_rng
+
+        def flaky(master_seed, stream_index, attempt=0):
+            if (stream_index, attempt) == (12, 0):
+                raise al.NumericalError("rejected draw")
+            return stream(master_seed, stream_index, attempt)
+
+        monkeypatch.setattr(field_module, "stream_rng", flaky)
+        fields, attempts = draw_fields(two_tap, MEASURES[kind], vol, 31, 10, 5)
+        assert attempts.tolist() == [0, 0, 1, 0, 0]
+        expected = _stacked(two_tap, MEASURES[kind], vol, 31, 10, 5, [0, 0, 1, 0, 0])
+        assert np.array_equal(fields, expected)
+
+    def test_stream_failing_every_attempt_raises(self, two_tap, uniform01, monkeypatch):
+        stream = field_module.stream_rng
+
+        def flaky(master_seed, stream_index, attempt=0):
+            if stream_index == 2:
+                raise al.NumericalError("rejected draw")
+            return stream(master_seed, stream_index, attempt)
+
+        monkeypatch.setattr(field_module, "stream_rng", flaky)
+        with pytest.raises(al.NumericalError, match="realization 2 still singular"):
+            draw_fields(two_tap, uniform01, build_volume(1, radius=2), 3, 0, 4)

@@ -7,7 +7,7 @@ import scipy.linalg
 
 import alloysim as al
 from alloysim import assemble, build_volume, green, green_column, spectrum
-from alloysim.lattice import _REAL_GUARD, _sturm_count
+from alloysim.lattice import _REAL_GUARD, _shifted_matrix, _sturm_count
 
 
 def diag_operator(diag, lam=1.0):
@@ -192,6 +192,16 @@ class TestGreen:
             green_column(op, e0, 0)
         assert str(err.value) == expected
 
+    @pytest.mark.parametrize("z", [math.nan, math.inf, -math.inf, complex(0.5, math.nan),
+                                   complex(math.inf, 0.1)])
+    @pytest.mark.parametrize("vol", [build_volume(1, radius=3), build_volume(2, radius=1)],
+                             ids=["chain", "box"])
+    def test_non_finite_energy_is_rejected(self, rng, vol, z):
+        # never a column of zeros, a nan column or LAPACK's singular-matrix error
+        op = assemble(SimpleNamespace(volume=vol, field=rng.normal(size=len(vol))), 2.0)
+        with pytest.raises(al.ValidationError, match="not finite"):
+            green_column(op, z, vol.points[0])
+
     def test_real_energy_guard_window_is_closed(self):
         # one site: the eigenvalue 0 lies exactly at E + delta, then at
         # E - delta, with delta = 1e-12 * norm_bound = 2e-12
@@ -216,6 +226,29 @@ class TestGreen:
         op = diag_operator([1.0, 2.0, 3.0])
         col = green_column(op, 100.0, 0)
         assert np.all(np.isfinite(col.real))
+
+    @pytest.mark.parametrize("vol", [
+        build_volume(1, radius=6),
+        build_volume(2, radius=2),
+        build_volume(1, points=[(4,), (0,), (1,), (-3,), (-2,)]),
+    ], ids=["chain", "box", "explicit"])
+    @pytest.mark.parametrize("z", [0.37, -1.5 + 0.02j, 2.0 - 0.3j])
+    def test_shifted_matrix_matches_dense_construction(self, rng, vol, z):
+        # the cached-hopping copy against the real matrix cast to complex with
+        # z taken off its diagonal, as green_column built it before
+        op = assemble(SimpleNamespace(volume=vol, field=rng.normal(size=len(vol))), 3.0)
+        old = op.matrix.astype(complex)
+        old[np.arange(op.size), np.arange(op.size)] -= z
+        new = _shifted_matrix(op, z)
+        assert np.array_equal(new, old)
+        if complex(z).imag == 0 or vol.dimension == 1:  # a dense solve, not slabs
+            rhs = np.zeros(op.size, dtype=complex)
+            rhs[1] = 1.0
+            assert np.array_equal(green_column(op, z, vol.points[1]), np.linalg.solve(old, rhs))
+        # the cache is shared and stays unwritten
+        assert vol._complex_hopping() is vol._complex_hopping()
+        assert not vol._complex_hopping().flags.writeable
+        assert np.array_equal(_shifted_matrix(op, z), old)
 
     def test_imaginary_part_sign(self, rng):
         # Im G(z; x, x) has the sign of Im z for self-adjoint operators

@@ -138,6 +138,19 @@ class TestSampling:
         x = CouplingMeasure.cosine(2.0, 3.0).sample(rng, 10_000)
         assert x.min() >= 2.0 and x.max() <= 3.0
 
+    @pytest.mark.parametrize("measure, expected", [
+        (CouplingMeasure.uniform(-0.5, 1.5), lambda g, n: -0.5 + 2.0 * g.random(n)),
+        (CouplingMeasure.gaussian(0.3, 2.0),
+         lambda g, n: 0.3 + math.sqrt(2.0) * g.standard_normal(n)),
+        (CouplingMeasure.bernoulli(0.3, (-1.0, 4.0)),
+         lambda g, n: np.where(g.random(n) < 0.3, 4.0, -1.0)),
+    ], ids=["uniform", "gaussian", "bernoulli"])
+    def test_direct_kinds_map_the_generator_doubles(self, measure, expected):
+        # one generator call per draw, then the affine map or threshold
+        for n in (0, 1, 13, 1000):
+            got = measure.sample(np.random.default_rng(7), n)
+            assert np.array_equal(got, expected(np.random.default_rng(7), n))
+
     def test_bernoulli_levels(self, rng):
         x = CouplingMeasure.bernoulli(0.3, (-1.0, 4.0)).sample(rng, 20_000)
         assert set(np.unique(x)) == {-1.0, 4.0}
