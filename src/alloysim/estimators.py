@@ -635,15 +635,16 @@ def fvc_probability(
 
     The event asks ``|G(E; x, y)| <= L**-exponent`` simultaneously for all
     pairs at sup-distance at least ``L/2`` in a box of radius ``L``; the
-    exponent must exceed ``3d - 1``.  Real energies hitting an eigenvalue
-    force a redraw (counted in the metadata).  It reads the whole resolvent,
+    exponent must be finite and exceed ``3d - 1`` (an infinite one, whose
+    event never holds, is a ``ValidationError`` like a nan).  Real energies
+    hitting an eigenvalue force a redraw (counted in the metadata).  It reads the whole resolvent,
     where one dense inverse beats ``n`` guarded ``green_column`` solves.
     """
     if volume.kind != "box" or volume.radius is None:
         raise ValidationError("the smallness event is defined on a box volume")
     d = volume.dimension
-    if exponent <= 3 * d - 1:
-        raise ValidationError(f"exponent must exceed 3d - 1 = {3 * d - 1}")
+    if not 3 * d - 1 < exponent < math.inf:
+        raise ValidationError(f"exponent must be finite and exceed 3d - 1 = {3 * d - 1}")
     _finite_energy(energy)
     L = volume.radius
     pts = volume.points

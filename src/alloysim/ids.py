@@ -348,6 +348,11 @@ def _energy_bracket(ids: IdsTable, e0: float, volume_points: int, lo: float, hi:
 # A block's diagonals stay within this, and so, with at most ``n`` targets per
 # chain, does each of the bisection's temporaries.
 _BLOCK_BYTES = 1 << 20
+# Chains x sites below which a block is bisected without forking.  On a
+# 2-core host, one fork gained nothing measurable from 12200 to 40080 (200 x
+# 61 to 80 x 501) and 15-50 % from 48800 (800 x 61) up; a block of 7 x 61
+# took 26 ms serially and 37 ms forked.
+_FORK_CHAIN_SITES = 40_000
 
 
 def _converged(lower, upper) -> bool:
@@ -374,7 +379,8 @@ def _bisect_eigenvalues(diagonals, index, lower, upper) -> np.ndarray:
     others, and one loop over all chains stops at the first step count where
     every bracket has converged, which is at least each part's own.  So
     stepping every part to the largest part's count, then going on as that
-    loop would, takes every chain through the same steps, to the same bits."""
+    loop would, takes every chain through the same steps, to the same bits.
+    A block of fewer than ``_FORK_CHAIN_SITES`` chain sites runs as one part."""
 
     def part(rows):
         lo, hi, steps = lower[rows].copy(), upper[rows].copy(), 0
@@ -383,7 +389,8 @@ def _bisect_eigenvalues(diagonals, index, lower, upper) -> np.ndarray:
             steps += 1
         return rows, lo, hi, steps
 
-    parts = _fork_map(part, len(diagonals))
+    b, n = diagonals.shape
+    parts = _fork_map(part, b) if b * n >= _FORK_CHAIN_SITES else [part(slice(0, b))]
     last = max(steps for *_, steps in parts)
     for rows, lo, hi, steps in parts:
         for _ in range(last - steps):

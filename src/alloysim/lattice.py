@@ -377,9 +377,10 @@ def chain_green(diagonals: np.ndarray, z: complex, sites: Sequence[int]) -> np.n
     with ``a_k = diagonal_k - z``; ``Im d_k`` and ``-Im z`` share their sign
     and ``|Im d_k| >= |Im z|``, so for ``Im z != 0`` no pivot vanishes and
     none needs row exchanges.  ``G(k, k) = 1 / (a_k - 1/dl_{k-1} - 1/dr_{k+1})``
-    and each row decays from its diagonal by the reciprocal pivots.
+    and each row decays from its diagonal by the reciprocal pivots.  A nan or
+    infinite part of ``z`` is a ``ValidationError``.
     """
-    z = complex(z)
+    z = _finite_energy(z)
     if z.imag == 0:
         raise ValidationError("the chain kernel needs Im z != 0")
     a = np.asarray(diagonals, dtype=float).T - z  # (n, b): one site per row
@@ -422,9 +423,13 @@ def chain_count(diagonals: np.ndarray, energies: np.ndarray) -> np.ndarray:
     of the pair is counted either way.  A zero last pivot means ``x`` is an
     eigenvalue, which is not below ``x``, so the last site counts ``q < 0``.
     Fortran-ordered ``diagonals`` are read one contiguous site at a time.
+    An energy of ``+inf`` counts every eigenvalue and ``-inf`` none; a nan
+    energy is a ``ValidationError``.
     """
     a = np.asarray(diagonals, dtype=float).T  # (n, b): one site per row
     x = np.ascontiguousarray(np.asarray(energies, dtype=float).T)  # (m, b)
+    if np.isnan(x).any():
+        raise ValidationError("energies must not be nan")
     n = len(a)
     q = np.empty_like(x)
     shifted = np.empty_like(x)

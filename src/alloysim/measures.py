@@ -28,6 +28,7 @@ __all__ = [
 ]
 
 _KINDS = ("uniform", "gaussian", "bernoulli", "cosine", "grid")
+_TINY = np.finfo(float).tiny  # floors a divisor that is 0 only where its dividend is
 
 
 @dataclass(frozen=True)
@@ -173,14 +174,14 @@ class CouplingMeasure:
             t = np.clip((xa - p["lo"]) / w, 0.0, 1.0)
             return t - np.sin(2 * math.pi * t) / (2 * math.pi)
         if self.kind == "bernoulli":
-            lo_lv, hi_lv = p["levels"]
             out = np.zeros_like(xa, dtype=float)
-            out += np.where(xa >= min(lo_lv, hi_lv), self._atom_weight(min(lo_lv, hi_lv)), 0.0)
-            if hi_lv != lo_lv:
-                out += np.where(xa >= max(lo_lv, hi_lv), self._atom_weight(max(lo_lv, hi_lv)), 0.0)
+            for lv, weight in self.atom_weights().items():
+                out += np.where(xa >= lv, weight, 0.0)
             return out
-        knots, cum = self._grid_cdf_knots()
-        return np.interp(xa, knots, cum, left=0.0, right=1.0)
+        x, cum, d, s = self._grid_cdf_knots()
+        i = np.clip(np.searchsorted(x, xa, side="right") - 1, 0, len(d) - 1)
+        tau = np.clip((xa - x[i]) / np.diff(x)[i], 0.0, 1.0)
+        return np.minimum(cum[i] + tau * (d[i] + 0.5 * s[i] * tau), 1.0)
 
     def _atom_weight(self, level: float) -> float:
         p, (lo_lv, hi_lv) = self.params["p"], self.params["levels"]
@@ -194,12 +195,15 @@ class CouplingMeasure:
             raise NoDensityError(f"the {self.kind} measure has no atoms")
         return {lv: self._atom_weight(lv) for lv in set(self.params["levels"])}
 
-    def _grid_cdf_knots(self) -> tuple[np.ndarray, np.ndarray]:
+    def _grid_cdf_knots(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Knots, knot CDF and per-cell ``d``, ``s``: the CDF is ``cum[i] + d[i]
+        tau + s[i] tau**2 / 2`` at the fraction ``tau`` of cell ``i``."""
         x = np.asarray(self.params["x"])
         d = np.asarray(self.params["density"])
-        seg = 0.5 * (d[1:] + d[:-1]) * np.diff(x)
+        h = np.diff(x)
+        seg = 0.5 * (d[1:] + d[:-1]) * h
         cum = np.concatenate([[0.0], np.cumsum(seg)])
-        return x, cum / cum[-1]
+        return x, cum / cum[-1], d[:-1] * h / cum[-1], np.diff(d) * h / cum[-1]
 
     def interval_mass(self, a, b) -> np.ndarray:
         """Mass of the closed interval ``[a, b]`` (atom-aware)."""
@@ -214,7 +218,8 @@ class CouplingMeasure:
     # -- sampling ----------------------------------------------------------
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        """Draw ``size`` i.i.d. couplings using the supplied generator."""
+        """Draw ``size`` i.i.d. couplings using the supplied generator: one
+        ``random()`` double each, or one standard normal for the gaussian."""
         return self._map_rows(self._fill_row(rng, np.empty(size)))
 
     # ``sample`` in two steps, so that a block of streams (``field.draw_fields``)
@@ -222,55 +227,49 @@ class CouplingMeasure:
     # second once over the block: every coupling is the same double either way.
 
     def _fill_row(self, rng: np.random.Generator, row: np.ndarray) -> np.ndarray:
-        """Fill ``row`` from ``rng`` and return it: the raw uniforms or normals
-        of the direct kinds, finished couplings of the rejection kinds."""
-        p = self.params
-        if self.kind in ("uniform", "bernoulli"):
-            rng.random(out=row)
-        elif self.kind == "gaussian":
+        """Fill ``row`` from ``rng`` and return it: standard normals for the
+        gaussian, uniforms on ``[0, 1)`` for every other kind."""
+        if self.kind == "gaussian":
             rng.standard_normal(out=row)
-        elif self.kind == "cosine":
-            self._rejection_sample(rng, row, p["lo"], p["hi"],
-                                   lambda t: 0.5 * (1.0 - np.cos(2 * math.pi * t)))
         else:
-            lo, hi = self.support
-            dmax = max(p["density"])
-            self._rejection_sample(rng, row, lo, hi,
-                                   lambda t: self.pdf(lo + t * (hi - lo)) / dmax)
+            rng.random(out=row)
         return row
 
     def _map_rows(self, raw: np.ndarray) -> np.ndarray:
-        """Couplings from ``_fill_row`` output of any shape, mapped in place and
-        returned: the affine map or threshold of the direct kinds, elementwise;
-        the rejection kinds' rows are left as they are.  In place, a large
-        draw never holds a second array of its size."""
+        """Couplings from ``_fill_row`` output of any shape, mapped elementwise
+        in place and returned: the affine map, threshold or inverse CDF."""
         p = self.params
-        if self.kind == "uniform":
-            raw *= p["hi"] - p["lo"]
-            raw += p["lo"]
-        elif self.kind == "gaussian":
-            raw *= math.sqrt(p["variance"])
-            raw += p["mean"]
-        elif self.kind == "bernoulli":
+        if self.kind == "bernoulli":
             lo_lv, hi_lv = p["levels"]
             hit = raw < p["p"]
             raw.fill(lo_lv)
             raw[hit] = hi_lv
+        elif self.kind == "gaussian":
+            raw *= math.sqrt(p["variance"])
+            raw += p["mean"]
+        elif self.kind == "grid":
+            x, cum, d, s = self._grid_cdf_knots()
+            i = np.searchsorted(cum, raw, side="right") - 1
+            r = raw - cum[i]
+            # stable root of d tau + s tau**2 / 2 = r, floored at a zero-density end
+            root = np.sqrt(np.maximum(d[i] * d[i] + 2.0 * s[i] * r, 0.0))
+            tau = np.minimum(2.0 * r / np.maximum(d[i] + root, _TINY), 1.0)
+            raw[...] = x[i] + tau * np.diff(x)[i]
+        else:
+            if self.kind == "cosine":
+                # F(t) = t - sin(2 pi t) / (2 pi) = v on [0, 1/2], 1 - v above: F is
+                # convex there and below 2 pi**2 t**3 / 3, so Newton from that cube
+                # root overshoots once, then descends (cbrt would move SIMD-off bits).
+                upper = raw > 0.5
+                np.subtract(1.0, raw, out=raw, where=upper)
+                t = np.float_power(raw * (3.0 / (2.0 * math.pi**2)), 1.0 / 3.0)
+                for _ in range(4):
+                    residual = t - np.sin(2 * math.pi * t) / (2 * math.pi) - raw
+                    t -= residual / np.maximum(1.0 - np.cos(2 * math.pi * t), _TINY)
+                raw[...] = np.where(upper, 1.0 - t, t)
+            raw *= p["hi"] - p["lo"]
+            raw += p["lo"]
         return raw
-
-    @staticmethod
-    def _rejection_sample(rng, out, lo, hi, accept_prob) -> None:
-        # Fills ``out``; accept_prob maps the unit-interval position to
-        # density / envelope.
-        size = len(out)
-        filled = 0
-        while filled < size:
-            batch = max(2 * (size - filled) + 16, 64)
-            t = rng.random(batch)
-            keep = t[rng.random(batch) < accept_prob(t)]
-            take = min(keep.size, size - filled)
-            out[filled : filled + take] = lo + (hi - lo) * keep[:take]
-            filled += take
 
 
 @dataclass(frozen=True)

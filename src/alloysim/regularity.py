@@ -59,11 +59,12 @@ def uniform_pair_concentration(eps):
     """Exact concentration of the sum of two unit uniforms.
 
     ``sup_a P(sum in [a, a+eps])`` equals ``eps - eps**2/4`` for
-    ``eps in (0, 2]`` (window centered at the mode) and 1 beyond.
+    ``eps in (0, 2]`` (window centered at the mode) and 1 beyond, an
+    infinite width included.  A nan width is a ``ValidationError``.
     """
     e = np.asarray(eps, dtype=float)
-    if np.any(e <= 0):
-        raise ValidationError("window width must be positive")
+    if not np.all(e > 0):
+        raise ValidationError("window width must be positive, not nan")
     out = np.where(e >= 2.0, 1.0, e - e * e / 4.0)
     return float(out) if np.isscalar(eps) else out
 
@@ -790,6 +791,17 @@ def ma1_gram_identities(n: int, coeff: float) -> Ma1GramIdentities:
     )
 
 
+def _ma1_inputs(coeff, sigma, right, left) -> tuple[np.ndarray, np.ndarray]:
+    """The observed values as arrays, once every input is checked finite."""
+    v_right = np.asarray(right, dtype=float)
+    v_left = np.asarray(left, dtype=float)
+    if not (0 < sigma < math.inf and math.isfinite(coeff)):
+        raise ValidationError("sigma must be positive and finite, and coeff finite")
+    if not (np.isfinite(v_right).all() and np.isfinite(v_left).all()):
+        raise ValidationError("observed field values must be finite")
+    return v_right, v_left
+
+
 def condition_ma1_center_direct(
     coeff: float,
     sigma: float,
@@ -803,10 +815,7 @@ def condition_ma1_center_direct(
     :func:`condition_gaussian_linear`.  Serves as the independent route the
     closed form is checked against.
     """
-    if sigma <= 0:
-        raise ValidationError("sigma must be positive")
-    v_right = np.asarray(right, dtype=float)
-    v_left = np.asarray(left, dtype=float)
+    v_right, v_left = _ma1_inputs(coeff, sigma, right, left)
     l, m = v_right.size, v_left.size
     size = l + m + 2
     a = np.zeros(size)
@@ -849,12 +858,11 @@ def condition_ma1_center(
 
     The result is always cross-checked against
     :func:`condition_gaussian_linear` on the same data; disagreement beyond
-    1e-8 raises :class:`NumericalError`.
+    1e-8 raises :class:`NumericalError`.  ``sigma`` must be positive and
+    finite, ``coeff`` and the observed values finite; anything else, an
+    infinite value included, is a :class:`ValidationError`.
     """
-    if sigma <= 0:
-        raise ValidationError("sigma must be positive")
-    v_right = np.asarray(right, dtype=float)
-    v_left = np.asarray(left, dtype=float)
+    v_right, v_left = _ma1_inputs(coeff, sigma, right, left)
     l, m = v_right.size, v_left.size
     dets = _gram_determinants(coeff, max(l, m))
     var = sigma * sigma * (coeff * coeff - 1.0 + 1.0 / dets[m] + 1.0 / dets[l])

@@ -910,3 +910,17 @@ class TestNonFiniteInputs:
         with pytest.raises(al.ValidationError, match="finite"):
             probe(anderson_gaussian, build_volume(1, radius=4))
         assert draws == []
+
+    @pytest.mark.parametrize("call", [
+        lambda m, v: al.fvc_probability(m, v, 0.3, math.nan, 5, 0),
+        lambda m, v: al.fvc_probability(m, v, 0.3, math.inf, 5, 0),
+        lambda m, v: al.uniform_pair_concentration(math.nan),
+        lambda m, v: al.condition_ma1_center(0.5, math.nan, [0.1], [0.2]),
+        lambda m, v: al.chain_count(np.zeros((2, 5)), np.full((2, 1), math.nan)),
+        lambda m, v: al.chain_green(np.zeros((2, 5)), complex(math.nan, 1.0), [0]),
+    ], ids=["fvc-nan-exponent", "fvc-inf-exponent", "uniform-pair-nan-width",
+            "ma1-nan-sigma", "chain-count-nan-energy", "chain-green-nan-energy"])
+    def test_library_inputs_rejected_before_any_work(self, anderson_gaussian, draws, call):
+        with pytest.raises(al.ValidationError):
+            call(anderson_gaussian, build_volume(1, radius=4))
+        assert draws == []

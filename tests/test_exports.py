@@ -179,17 +179,18 @@ def test_bulk_sampling_kinds_load_no_scipy_linalg(tmp_path):
 
 
 def test_block_draw_kinds_load_no_scipy(tmp_path):
-    # minami and decay-profile draw their fields in blocks of streams and
-    # solve them with the chain kernel: numpy alone
+    # minami, decay-profile and the cosine fractional moment draw their fields
+    # in blocks of streams, the cosine couplings by inverse CDF, and solve them
+    # with the chain kernel: numpy alone
     paths = []
     for member, params in [("minami", {"n_samples": 300, "scaling_samples": 600}),
-                           ("decay", {})]:
+                           ("decay", {}), ("apriori-lam10", {"n_samples": 500})]:
         config = json.loads((MEMBERS / f"{member}.json").read_text())
         config["params"].update(params)
         paths.append(tmp_path / f"{member}.json")
         paths[-1].write_text(json.dumps(config))
     report, _ = _fresh_interpreter(BULK_GUARD, *paths)
-    assert report == {"minami": [0, []], "decay": [0, []]}
+    assert report == {"minami": [0, []], "decay": [0, []], "apriori-lam10": [0, []]}
 
 
 FORKED_SUITE = """

@@ -479,6 +479,8 @@ class TestForkMap:
             al.build_single_site(1, {(0,): 1.0}), al.CouplingMeasure.uniform(0.0, 1.0), 15.0
         )
         runs = []
+        # 200 chains of 61 sites are below the fork floor; fork them anyway
+        monkeypatch.setattr(al.ids, "_FORK_CHAIN_SITES", 0)
         for cpus in (1, 2, 3):
             force_cpus(monkeypatch, cpus)
             table = ids_estimate(model, build_volume(1, 100), 20, master_seed=5)
@@ -494,6 +496,18 @@ class TestForkMap:
             for spectra, reference in ((windowed, serial[1]), (full, serial[2])):
                 assert len(spectra) == len(reference)
                 assert all(np.array_equal(a.xi, b.xi) for a, b in zip(spectra, reference))
+
+    @pytest.mark.parametrize("shape, forks", [((7, 61), False), ((200, 61), False),
+                                              ((261, 501), True)])
+    def test_bisection_forks_only_blocks_above_the_floor(self, monkeypatch, shape, forks):
+        calls = []
+        fork_map = al.ids._fork_map
+        monkeypatch.setattr(al.ids, "_fork_map", lambda fn, n: calls.append(n) or fork_map(fn, n))
+        # brackets that have converged already: no halving, only the routing
+        bracket = np.zeros((shape[0], 1))
+        evals = al.ids._bisect_eigenvalues(np.zeros(shape), bracket.astype(int), bracket, bracket)
+        assert calls == ([shape[0]] if forks else [])
+        assert np.array_equal(evals, bracket)
 
     @pytest.mark.parametrize("error", [al.ValidationError, al.NumericalError])
     def test_a_forked_error_is_raised_as_the_serial_loop_raises_it(

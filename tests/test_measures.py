@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -164,6 +168,88 @@ class TestSampling:
         s = m.sample(rng, 100_000)
         # mean of the linear ramp density is 2/3
         assert s.mean() == pytest.approx(2 / 3, abs=0.01)
+
+
+# The kinds that take exactly one ``random()`` double per coupling: every kind
+# but the gaussian, whose ziggurat may take more.
+ONE_DOUBLE = {
+    "uniform": CouplingMeasure.uniform(-0.5, 1.5),
+    "bernoulli": CouplingMeasure.bernoulli(0.3, (-1.0, 4.0)),
+    "cosine": CouplingMeasure.cosine(-1.0, 3.0),
+    # zero density at both ends and a flat middle cell; cell masses .2 .4 .3 .1
+    "grid": CouplingMeasure.from_grid([0.0, 1.0, 2.0, 3.0, 4.0], [0.0, 0.4, 0.4, 0.2, 0.0]),
+}
+
+# Writes fixed uniforms, edge values included, mapped through both inverse
+# CDFs, then one byte: 1 if any of numpy's dispatched SIMD targets is on.
+INVERSE_CDF_BYTES = """
+import sys
+import numpy as np
+from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+from alloysim import CouplingMeasure
+
+v = np.concatenate([np.random.default_rng(0).random(100_000), [0.0, 0.5, 2.0**-53]])
+grid = CouplingMeasure.from_grid([0.0, 1.0, 2.0, 3.0, 4.0], [0.0, 0.4, 0.4, 0.2, 0.0])
+for measure in (CouplingMeasure.cosine(-1.0, 3.0), grid):
+    sys.stdout.buffer.write(measure._map_rows(v.copy()).tobytes())
+sys.stdout.buffer.write(bytes([any(__cpu_features__[f] for f in __cpu_dispatch__)]))
+"""
+
+
+class TestInverseCdf:
+    """One double per coupling, mapped through the inverse CDF."""
+
+    @pytest.mark.parametrize("kind", sorted(ONE_DOUBLE))
+    def test_one_double_per_coupling(self, kind):
+        for n in (0, 1, 13, 1000):
+            rng = np.random.default_rng(11)
+            ONE_DOUBLE[kind].sample(rng, n)
+            fresh = np.random.default_rng(11)
+            fresh.bit_generator.advance(n)
+            assert rng.bit_generator.state == fresh.bit_generator.state
+
+    @pytest.mark.parametrize("kind", ["cosine", "grid"])
+    def test_kolmogorov_smirnov_against_the_cdf(self, kind):
+        n = 100_000
+        measure = ONE_DOUBLE[kind]
+        cdf = measure.cdf(np.sort(measure.sample(np.random.default_rng(2026), n)))
+        ranks = np.arange(n + 1) / n
+        statistic = max(np.max(ranks[1:] - cdf), np.max(cdf - ranks[:-1]))
+        assert statistic < 1.628 / math.sqrt(n)  # the 1 % critical value
+
+    def test_cosine_solves_its_cdf_to_a_few_ulps(self):
+        measure = CouplingMeasure.cosine(0.0, 1.0)
+        v = np.concatenate([np.random.default_rng(5).random(1_000_000), [0.0, 0.5]])
+        t = measure._map_rows(v.copy())
+        assert np.max(np.abs(measure.cdf(t) - v)) <= 4.5e-16
+        assert t[-2] == 0.0 and abs(t[-1] - 0.5) <= 1e-16
+
+    def test_grid_round_trip(self):
+        measure = ONE_DOUBLE["grid"]
+        v = np.concatenate([np.random.default_rng(6).random(100_000), [0.0, 0.2, 0.6, 0.9]])
+        x = measure._map_rows(v.copy())
+        assert x.min() >= 0.0 and x.max() <= 4.0
+        np.testing.assert_allclose(measure.cdf(x), v, rtol=0.0, atol=4e-16)
+        np.testing.assert_allclose(x[-4:], [0.0, 1.0, 2.0, 3.0], rtol=0.0, atol=1e-15)
+        # the CDF integrates the piecewise-linear density, not the knot CDF's chords
+        np.testing.assert_allclose(measure.cdf([-1.0, 0.5, 1.5, 3.5, 5.0]),
+                                   [0.0, 0.05, 0.4, 0.975, 1.0], rtol=1e-14)
+
+    def test_same_bits_with_numpy_simd_loops_off(self):
+        from numpy._core._multiarray_umath import __cpu_dispatch__
+
+        src = str(Path(__file__).resolve().parents[1] / "src")
+
+        def child(**settings):
+            env = dict(os.environ, **settings)
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+            return subprocess.run([sys.executable, "-c", INVERSE_CDF_BYTES], env=env,
+                                  capture_output=True, check=True).stdout
+
+        default = child()
+        simd_off = child(NPY_DISABLE_CPU_FEATURES=" ".join(__cpu_dispatch__))
+        assert simd_off[-1] == 0
+        assert simd_off[:-1] == default[:-1]
 
 
 class TestConfigBlock:
